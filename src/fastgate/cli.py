@@ -8,27 +8,130 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import socket
 import sys
-from socketserver import ThreadingMixIn
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+import threading
+from contextlib import suppress
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
 import click
 import requests
 
 from .config import ENV_CONFIG, build_app, load_config_file, make_config, parse_bind
 from .errors import FastError
-from .values import loads_strict
+from .values import canonical_json, loads_strict
 
 DEFAULT_SERVER = "http://127.0.0.1:8080"
 
 
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    daemon_threads = True
+class _GatewayHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 in front of the server's WSGI app, one request at a time.
 
+    The connection stays open until the client closes it or sends
+    `Connection: close`, the request is not HTTP/1.1, or the app answers
+    `Connection: close` because it left the body unread.  Every method
+    reaches the app, so an unknown one gets the app's 405, not a 501.
+    """
 
-class _QuietHandler(WSGIRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
+
+    def handle_one_request(self):
+        if self.server.closing:
+            self.close_connection = True
+            return
+        self.raw_requestline = self.rfile.readline(65537)
+        if len(self.raw_requestline) > 65536:
+            self.requestline = self.request_version = self.command = ""
+            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+        elif not self.raw_requestline:
+            self.close_connection = True
+        elif self.parse_request():
+            self._call_app()
+
+    def _call_app(self):
+        path, _, query = self.path.partition("?")
+        environ = {
+            "REQUEST_METHOD": self.command,
+            "PATH_INFO": unquote(path, "iso-8859-1"),
+            "QUERY_STRING": query,
+            # joined, so that duplicates fail the app's digits-only check
+            "CONTENT_LENGTH": ",".join(self.headers.get_all("Content-Length", ())),
+            "CONTENT_TYPE": self.headers.get("Content-Type", ""),
+            "wsgi.input": self.rfile,
+        }
+        for name, value in self.headers.items():
+            key = "HTTP_" + name.upper().replace("-", "_")
+            value = value.strip()
+            environ[key] = f"{environ[key]},{value}" if key in environ else value
+        reply = []
+        chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
+        status, headers = reply
+        if ("Connection", "close") in headers or self.request_version != "HTTP/1.1":
+            self.close_connection = True
+        self._send(status, headers, b"" if self.command == "HEAD" else b"".join(chunks))
+
+    def _send(self, status: str, headers: list, body: bytes) -> None:
+        # One write: a second small one would wait on the client's delayed ACK.
+        head = [f"{self.protocol_version} {status}", f"Date: {self.date_time_string()}"]
+        head += [f"{name}: {value}" for name, value in headers]
+        if self.close_connection and ("Connection", "close") not in headers:
+            head.append("Connection: close")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+
+    def send_error(self, code, message=None, explain=None):
+        """Errors that http.server finds itself (request line, headers), in JSON."""
+        self.close_connection = True
+        phrase = HTTPStatus(code).phrase
+        body = canonical_json({"message": message or phrase}).encode("utf-8")
+        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+        self._send(f"{code} {phrase}", headers, body)
+
     def log_message(self, format, *args):  # per-request noise off
         pass
+
+
+class GatewayServer(ThreadingHTTPServer):
+    """Serves the WSGI callable `app` with one thread per connection.
+
+    `server_close` lets the requests in flight finish and ends every
+    connection before it returns, so the app serves nothing after it and
+    a store saved then holds every acknowledged write.
+    """
+
+    daemon_threads = False  # server_close joins them
+
+    def __init__(self, address: tuple, app):
+        self.app = app
+        self.closing = False
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, _GatewayHandler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        self.closing = True
+        with self._connections_lock:
+            for request in self._connections:
+                with suppress(OSError):  # wake a thread waiting for its next request
+                    request.shutdown(socket.SHUT_RD)
+        super().server_close()
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 def _fail(message: str, code: int):
@@ -85,19 +188,15 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
     except (FastError, OSError) as exc:
         _fail(str(getattr(exc, "message", exc)), 1)
     try:
-        server = make_server(
-            config.host,
-            config.port,
-            bundle.gateway.wsgi_app,
-            server_class=_ThreadingWSGIServer,
-            handler_class=_QuietHandler,
-        )
+        server = GatewayServer((config.host, config.port), bundle.gateway.wsgi_app)
     except OSError as exc:
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)
     click.echo(f"serving on http://{config.host}:{config.port}", err=True)
     click.echo(f"packages: {', '.join(bundle.machine.packages())}", err=True)
     if config.store_path:
         click.echo(f"store file: {config.store_path}", err=True)
+    # SIGTERM (docker stop, systemd) takes the same path as Ctrl-C, so the store is flushed
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -9,7 +9,10 @@ Routes:
 
 Everything speaks JSON.  Error bodies are {"message": ...} with status
 drawn from {400, 404, 405, 413, 422, 500}; 200 bodies are the bare result.
-The core handler is transport-free; `wsgi_app` adapts it to WSGI.
+The core handler is transport-free.  `wsgi_app` is its one transport
+adapter: it frames the body strictly by Content-Length and asks the
+server to close the connection when it leaves a body unread.
+`cli.GatewayServer` serves it over HTTP/1.1 with persistent connections.
 """
 
 from __future__ import annotations
@@ -105,16 +108,14 @@ class Gateway:
         query = dict(
             parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)
         )
+        headers = [("Content-Type", "application/json")]
         try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_bytes:
-            response = WireResponse(
-                413, {"message": f"request body exceeds {self.max_bytes} bytes"}
-            )
+            body = self._read_body(environ)
+        except FastError as exc:
+            response = WireResponse(exc.http_status, {"message": exc.message})
+            # unread body bytes must not be parsed as the next request
+            headers.append(("Connection", "close"))
         else:
-            body = environ["wsgi.input"].read(length) if length else None
             response = self.handle(
                 WireRequest(
                     method,
@@ -125,15 +126,31 @@ class Gateway:
                 )
             )
         payload = canonical_json(response.body).encode("utf-8")
+        headers.append(("Content-Length", str(len(payload))))
         reason = _REASONS.get(response.status, "Unknown")
-        start_response(
-            f"{response.status} {reason}",
-            [
-                ("Content-Type", "application/json"),
-                ("Content-Length", str(len(payload))),
-            ],
-        )
+        start_response(f"{response.status} {reason}", headers)
         return [payload]
+
+    def _read_body(self, environ) -> Optional[bytes]:
+        """The body framed by CONTENT_LENGTH (RFC 9112 section 6.3), None if empty.
+
+        Anything but a decimal length is a 400, as is chunked framing; a
+        length over the cap is a 413 and the body is never read.
+        """
+        if "HTTP_TRANSFER_ENCODING" in environ:
+            raise BadRequest("Transfer-Encoding is not supported; send a Content-Length")
+        text = environ.get("CONTENT_LENGTH") or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise BadRequest("Content-Length must be a non-negative integer")
+        length = int(text)
+        if length > self.max_bytes:
+            raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
+        if not length:
+            return None
+        body = environ["wsgi.input"].read(length)
+        if len(body) < length:
+            raise BadRequest("request body is shorter than its Content-Length")
+        return body
 
     # --- routing
 

@@ -1,3 +1,4 @@
+import http.client
 import json
 import os
 import signal
@@ -6,17 +7,17 @@ import subprocess
 import sys
 import threading
 import time
-from wsgiref.simple_server import make_server
 
 import pytest
 import requests
 from click.testing import CliRunner
 
 from fastgate import build_app
-from fastgate.cli import _QuietHandler, _ThreadingWSGIServer, main
+from fastgate.cli import GatewayServer, main
 from fastgate.config import Config, load_config_file, make_config, parse_bind
 from fastgate.errors import InvalidValue
-from fastgate.rest_machine import ResourceStore
+from fastgate.http_gateway import WireRequest
+from fastgate.rest_machine import DEFAULT_MAX_BYTES, ResourceStore
 
 # --- configuration
 
@@ -145,13 +146,7 @@ def test_serve_flag_overrides_env_config(tmp_path):
 @pytest.fixture(scope="module")
 def live_server():
     app = build_app()
-    server = make_server(
-        "127.0.0.1",
-        0,
-        app.gateway.wsgi_app,
-        server_class=_ThreadingWSGIServer,
-        handler_class=_QuietHandler,
-    )
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -287,10 +282,230 @@ def test_seed_unreachable_server_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+# --- the HTTP/1.1 transport, over real sockets with short timeouts
+
+SOCKET_TIMEOUT_S = 5
+
+
+class _CountingConnection(http.client.HTTPConnection):
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+def _address(url: str) -> tuple:
+    host, port = url.removeprefix("http://").split(":")
+    return host, int(port)
+
+
+def _raw_exchange(url: str, data: bytes, shut_write: bool = False) -> list:
+    """Send raw bytes, read until the server closes, and parse the replies.
+
+    Each reply is (status line, headers, body).  A server that keeps the
+    connection open makes the read time out, which fails the test instead
+    of stalling it.
+    """
+    with socket.create_connection(_address(url), timeout=SOCKET_TIMEOUT_S) as sock:
+        sock.sendall(data)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    replies = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers["Content-Length"])
+        replies.append((status, headers, rest[:length]))
+        received = rest[length:]
+    return replies
+
+
+def test_keep_alive_serves_many_requests_on_one_connection(live_server):
+    url, _ = live_server
+    conn = _CountingConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
+    try:
+        for i in range(20):
+            conn.request(
+                "POST", f"/rest/keepalive/{i}", f"[{i}]", {"Content-Type": "application/json"}
+            )
+            posted = conn.getresponse()
+            assert (posted.status, posted.read()) == (200, b'{"status":"success"}')
+            conn.request("GET", f"/rest/keepalive/{i}")
+            fetched = conn.getresponse()
+            assert (fetched.status, fetched.read()) == (200, f"[{i}]".encode())
+            assert fetched.getheader("Connection") is None
+    finally:
+        conn.close()
+    assert conn.connects == 1
+
+
+def test_client_connection_close_is_honoured(live_server):
+    url, _ = live_server
+    request = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    # the second request must go unanswered: the server closes after the first
+    replies = _raw_exchange(url, request + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert len(replies) == 1
+    status, headers, body = replies[0]
+    assert status == "HTTP/1.1 200 OK"
+    assert headers["Connection"] == "close"
+    assert body == b'{"status":"ok"}'
+
+
+def test_http10_request_gets_a_closed_connection(live_server):
+    url, _ = live_server
+    [(status, headers, body)] = _raw_exchange(url, b"GET /healthz HTTP/1.0\r\n\r\n")
+    assert status == "HTTP/1.1 200 OK"
+    assert headers["Connection"] == "close"
+    assert body == b'{"status":"ok"}'
+
+
+def test_any_method_reaches_the_gateway_over_the_wire(live_server):
+    url, app = live_server
+    conn = _CountingConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
+    try:
+        for method in ("PATCH", "HEAD"):
+            expected = app.gateway.handle(WireRequest(method, "/rest/x"))
+            conn.request(method, "/rest/x")
+            response = conn.getresponse()
+            assert response.status == expected.status == 405
+            body = response.read()
+            if method == "HEAD":
+                assert body == b""  # a HEAD reply carries no body
+            else:
+                assert json.loads(body) == expected.body == {
+                    "message": "PATCH is not allowed here; use GET or POST or PUT or DELETE"
+                }
+        conn.request("GET", "/healthz")  # the connection is still in step
+        assert conn.getresponse().read() == b'{"status":"ok"}'
+    finally:
+        conn.close()
+    assert conn.connects == 1
+
+
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "head, status, message",
+    [
+        (
+            b"Content-Length: -1",
+            "400 Bad Request",
+            "Content-Length must be a non-negative integer",
+        ),
+        (
+            b"Content-Length: abc",
+            "400 Bad Request",
+            "Content-Length must be a non-negative integer",
+        ),
+        (
+            b"Content-Length: 3\r\nContent-Length: 3",
+            "400 Bad Request",
+            "Content-Length must be a non-negative integer",
+        ),
+        (
+            b"Content-Length: 1000000000000",
+            "413 Request Entity Too Large",
+            f"request body exceeds {DEFAULT_MAX_BYTES} bytes",
+        ),
+        (
+            b"Transfer-Encoding: chunked",
+            "400 Bad Request",
+            "Transfer-Encoding is not supported; send a Content-Length",
+        ),
+    ],
+    ids=["negative", "garbage", "duplicate", "oversized", "chunked"],
+)
+def test_bad_body_framing_is_rejected_and_the_connection_closed(
+    live_server, head, status, message
+):
+    url, _ = live_server
+    request = b"POST /rest/framing HTTP/1.1\r\nHost: t\r\n" + head + b"\r\n\r\n"
+    # the bytes after the head would be a second request if the server
+    # read on; it must close instead
+    replies = _raw_exchange(url, request + _SMUGGLED)
+    assert len(replies) == 1
+    got_status, headers, body = replies[0]
+    assert got_status == f"HTTP/1.1 {status}"
+    assert headers["Connection"] == "close"
+    assert json.loads(body) == {"message": message}
+
+
+def test_short_body_is_rejected(live_server):
+    url, _ = live_server
+    request = b"POST /rest/short HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n[1]"
+    [(status, headers, body)] = _raw_exchange(url, request, shut_write=True)
+    assert status == "HTTP/1.1 400 Bad Request"
+    assert json.loads(body) == {"message": "request body is shorter than its Content-Length"}
+
+
+def test_malformed_request_line_answers_json(live_server):
+    url, _ = live_server
+    [(status, headers, body)] = _raw_exchange(url, b"NONSENSE\r\n\r\n")
+    assert status == "HTTP/1.1 400 Bad Request"
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert json.loads(body) == {"message": "Bad request syntax ('NONSENSE')"}
+
+
+def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
+    app = build_app()
+    entered, release = threading.Event(), threading.Event()
+
+    def hold(x):
+        entered.set()
+        release.wait(SOCKET_TIMEOUT_S)
+        return x
+
+    app.machine.register_package("held", {"hold": hold})
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    address = server.server_address
+    idle = http.client.HTTPConnection(*address, timeout=SOCKET_TIMEOUT_S)
+    busy = http.client.HTTPConnection(*address, timeout=SOCKET_TIMEOUT_S)
+    replies = []
+    try:
+        idle.request("GET", "/healthz")
+        assert idle.getresponse().read() == b'{"status":"ok"}'
+
+        def call():
+            busy.request("POST", "/lambda/held/hold", "[7]", {"Content-Type": "application/json"})
+            response = busy.getresponse()
+            replies.append((response.status, response.read()))
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert entered.wait(SOCKET_TIMEOUT_S)
+        server.shutdown()
+        closer = threading.Thread(target=server.server_close)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive()  # it waits for the request in flight
+        release.set()
+        closer.join(SOCKET_TIMEOUT_S)
+        assert not closer.is_alive()  # and not for the idle connection
+        caller.join(SOCKET_TIMEOUT_S)
+        assert replies == [(200, b"7")]
+        with pytest.raises((http.client.HTTPException, OSError)):
+            idle.request("GET", "/healthz")
+            idle.getresponse()
+    finally:
+        release.set()
+        idle.close()
+        busy.close()
+        app.machine.close()
+
+
 # --- the server process end to end
 
 
-def test_serve_process_flushes_store_on_sigint(tmp_path):
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
     port = _free_port()
     store_path = tmp_path / "persisted.json"
     proc = subprocess.Popen(
@@ -326,7 +541,7 @@ def test_serve_process_flushes_store_on_sigint(tmp_path):
             f"{base}/lambda/basic_arithmetic/add?a=1&b=2", timeout=10
         )
         assert answer.status_code == 200 and answer.json() == 3
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         _, stderr = proc.communicate(timeout=20)
     finally:
         if proc.poll() is None:
