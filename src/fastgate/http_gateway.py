@@ -17,8 +17,6 @@ server to close the connection when it leaves a body unread.
 
 from __future__ import annotations
 
-import ast
-import json
 from dataclasses import dataclass, field
 from http.client import responses as _REASONS
 from typing import Callable, Optional
@@ -32,12 +30,7 @@ from .errors import (
     PayloadTooLarge,
     UnserializableResult,
 )
-from .lambda_machine import (
-    FunctionRef,
-    FunctionValue,
-    LambdaRequest,
-    _contains_function_value,
-)
+from .lambda_machine import FunctionRef, FunctionValue, LambdaRequest
 from .rest_machine import DEFAULT_MAX_BYTES
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
@@ -46,6 +39,8 @@ RESERVED_PARAMS = frozenset(
 )
 
 _ABSENT = object()
+
+_FNS_PUNCTUATION = str.maketrans("", "", "[]()'\"")
 
 
 @dataclass
@@ -206,7 +201,7 @@ class Gateway:
             self.machine.lookup(ref)  # fail fast with 404 before reading args
         else:
             raise NotFound("Not found")
-        to_do, payload = self._argument_payload(req)
+        to_do, payload = self._argument_payload(*self._call_arguments(req))
         return self._run_wire(ref, to_do, payload)
 
     def handle_fast(self, req: WireRequest) -> Value:
@@ -214,9 +209,10 @@ class Gateway:
         if not segments or len(segments) > 2:
             raise NotFound("Not found")
         module = segments[0]
-        container = self._control_container(req)
-        to_uri = container.get("to_uri")
-        fn_names = self._fns_list(container.get("fns"))
+        params, body = self._call_arguments(req)
+        control = body if isinstance(body, dict) else {}  # its fields win over params
+        to_uri = control.get("to_uri", params.get("to_uri"))
+        fn_names = self._fns_list(control.get("fns", params.get("fns")))
         if to_uri is not None and not isinstance(to_uri, str):
             raise BadRequest("to_uri must be a resource URI string")
         if to_uri is not None and req.method != "POST":
@@ -227,7 +223,7 @@ class Gateway:
             raise BadRequest("fns is required when the path names no function")
         if to_uri is None and not fn_names:
             raise BadRequest("to_uri is required when calling a single function")
-        to_do, payload = self._argument_payload(req)
+        to_do, payload = self._argument_payload(params, body)
         if fn_names:
             result: Value = {}
             for name in fn_names:
@@ -260,20 +256,10 @@ class Gateway:
         return [seg for seg in path[len(prefix) :].split("/") if seg]
 
     def _json_body(self, req: WireRequest):
-        """The parsed JSON body, _ABSENT when there is none.
-
-        Form-encoded bodies are folded into the query params by
-        _control_container instead, so they come back _ABSENT here.
-        """
-        if not req.body:
+        """The parsed JSON body, _ABSENT when there is none or it is a form."""
+        if not req.body or self._is_form(req):
             return _ABSENT
-        if self._is_form(req):
-            return _ABSENT
-        try:
-            text = req.body.decode("utf-8")
-        except UnicodeDecodeError:
-            raise BadRequest("request body is not valid UTF-8") from None
-        return loads_strict(text, what="request body")
+        return loads_strict(self._body_text(req), what="request body")
 
     @staticmethod
     def _is_form(req: WireRequest) -> bool:
@@ -281,28 +267,25 @@ class Gateway:
             "application/x-www-form-urlencoded"
         )
 
-    def _merged_params(self, req: WireRequest) -> dict:
-        """Query params with any form-encoded body folded in (body wins)."""
+    @staticmethod
+    def _body_text(req: WireRequest) -> str:
+        try:
+            return req.body.decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadRequest("request body is not valid UTF-8") from None
+
+    def _call_arguments(self, req: WireRequest) -> tuple[dict, Value]:
+        """One parse of a call: (params, body).
+
+        params are the query params with a form-encoded body folded in (the
+        form wins); body is the decoded JSON body, _ABSENT for none or a form.
+        """
         params = dict(req.query)
         if req.body and self._is_form(req):
-            try:
-                text = req.body.decode("utf-8")
-            except UnicodeDecodeError:
-                raise BadRequest("request body is not valid UTF-8") from None
-            params.update(dict(parse_qsl(text, keep_blank_values=True)))
-        return params
+            params.update(parse_qsl(self._body_text(req), keep_blank_values=True))
+        return params, self._json_body(req)
 
-    def _control_container(self, req: WireRequest) -> dict:
-        """Reserved control fields from params and body; the body wins."""
-        container: dict = dict(self._merged_params(req))
-        body = self._json_body(req)
-        if isinstance(body, dict):
-            for key in RESERVED_PARAMS:
-                if key in body:
-                    container[key] = body[key]
-        return container
-
-    def _argument_payload(self, req: WireRequest):
+    def _argument_payload(self, params: dict, body):
         """The (to_do, payload) pair for a lambda-style call.
 
         Argument priority: JSON body object (its "data" key, else its free
@@ -310,8 +293,6 @@ class Gateway:
         A "uri" control field overrides inline data with a fetched
         resource.  The final payload passes through the template resolver.
         """
-        params = self._merged_params(req)
-        body = self._json_body(req)
         to_do = params.get("to_do") or "apply"
         uri = params.get("uri")
         data = _ABSENT
@@ -345,10 +326,10 @@ class Gateway:
     def _run_wire(self, ref: FunctionRef, to_do: str, payload: Value) -> Value:
         request = LambdaRequest(ref, to_do, data=payload)
         if self.check_purity:
-            result = self.machine.invoke_checked(request, self.store)
+            result = self.machine.invoke_checked(request)
         else:
-            result = self.machine.invoke(request, self.store)
-        if isinstance(result, FunctionValue) or _contains_function_value(result):
+            result = self.machine.invoke(request)
+        if isinstance(result, FunctionValue):
             raise UnserializableResult(
                 "the result is a function value and cannot be returned over the wire"
             )
@@ -356,24 +337,20 @@ class Gateway:
 
     @staticmethod
     def _fns_list(raw) -> list[str]:
-        """fns as a list of names; accepts JSON, Python-literal, or a,b,c."""
-        if raw is None:
+        """fns as a list of names: a JSON array, or a string of comma-separated
+        names with optional brackets and quotes ("a,b", '["a","b"]', "('a',)").
+
+        Function names hold no brackets or quotes, so dropping them and
+        splitting on commas reads every string form.
+        """
+        if raw is None or (isinstance(raw, str) and not raw.strip()):
             return []
-        items = raw
         if isinstance(raw, str):
-            text = raw.strip()
-            if not text:
-                return []
-            try:
-                items = json.loads(text)
-            except ValueError:
-                try:
-                    items = ast.literal_eval(text)
-                except (ValueError, SyntaxError):
-                    items = [part.strip() for part in text.split(",")]
-        if not isinstance(items, (list, tuple)) or not items:
+            raw = [name.strip() for name in raw.translate(_FNS_PUNCTUATION).split(",")]
+        if (
+            not isinstance(raw, list)
+            or not raw
+            or any(not isinstance(name, str) or not name for name in raw)
+        ):
             raise BadRequest("fns must be a non-empty list of function names")
-        names = list(items)
-        if any(not isinstance(name, str) or not name for name in names):
-            raise BadRequest("fns must be a non-empty list of function names")
-        return names
+        return raw

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
@@ -60,16 +60,11 @@ class FunctionRef:
 
 @dataclass
 class LambdaRequest:
-    """One pure invocation: a function, a dispatch mode, and a data source.
-
-    The source is either inline data or a resource URI; a URI is fetched
-    from the resource store before dispatch and then treated as inline.
-    """
+    """One pure invocation: a function, a dispatch mode, and its inline data."""
 
     fn: FunctionRef
     combinator: str = "apply"
     data: Value = None
-    uri: Optional[str] = None
 
     def __post_init__(self):
         if self.combinator not in COMBINATORS:
@@ -107,20 +102,13 @@ class FunctionHandle:
         return f"{self.module}.{self.name}"
 
 
-def _callable_of(target):
-    if isinstance(target, FunctionHandle):
-        return target.fn, target.label
-    if isinstance(target, FunctionValue):
-        return target.fn, target.label
-    raise TypeError(f"not a callable target: {target!r}")
-
-
 def _bind(target, payload: Value):
     """Bind an argument payload and call: arrays positionally, objects by name.
 
-    Any other value is passed as a single positional argument.
+    Any other value is passed as a single positional argument.  `target`
+    is a FunctionHandle or a FunctionValue; both carry `fn` and `label`.
     """
-    fn, label = _callable_of(target)
+    fn, label = target.fn, target.label
     if isinstance(payload, list):
         args, kwargs = payload, {}
     elif isinstance(payload, dict):
@@ -172,7 +160,11 @@ def _check_binding(handle: FunctionHandle, args: list, kwargs: dict) -> None:
 
 
 def _checked_result(result):
-    """Validate a function result; FunctionValue passes only at the top level."""
+    """Validate a function result; FunctionValue passes only at the top level.
+
+    This is the one deep walk for function values: every call goes through
+    it, so every other exit only has to test the top level.
+    """
     if isinstance(result, FunctionValue):
         return result
     if _contains_function_value(result):
@@ -269,43 +261,25 @@ class LambdaMachine:
             return self._filter(target, data)
         raise InvalidValue(f"unknown combinator: {combinator!r}")
 
-    def invoke(self, req: LambdaRequest, store=None):
-        """Resolve the request's function and source, then dispatch."""
-        handle = self.lookup(req.fn)
-        data = self._fetch_source(req, store)
-        return self.run(handle, req.combinator, data)
+    def invoke(self, req: LambdaRequest):
+        """Resolve the request's function, then dispatch over its data."""
+        return self.run(self.lookup(req.fn), req.combinator, req.data)
 
-    def verify_purity(self, req: LambdaRequest, store=None) -> bool:
-        """Debug check: evaluate twice against one source snapshot.
+    def invoke_checked(self, req: LambdaRequest):
+        """Invoke twice and compare the serialized results.
 
-        True when the serialized results are byte-identical.
+        Raises PurityViolation when they differ.  A function value has no
+        bytes, so two function values count as equal and the first is
+        returned for the caller's exit guard to reject.
         """
-        data = self._fetch_source(req, store)
         handle = self.lookup(req.fn)
-        first = canonical_json(_require_serializable(self.run(handle, req.combinator, data)))
-        second = canonical_json(_require_serializable(self.run(handle, req.combinator, data)))
-        return first == second
-
-    def invoke_checked(self, req: LambdaRequest, store=None):
-        """Invoke with the purity check on; raises PurityViolation on mismatch."""
-        data = self._fetch_source(req, store)
-        handle = self.lookup(req.fn)
-        first = self.run(handle, req.combinator, data)
-        second = self.run(handle, req.combinator, data)
-        if canonical_json(_require_serializable(first)) != canonical_json(
-            _require_serializable(second)
-        ):
+        first = self.run(handle, req.combinator, req.data)
+        second = self.run(handle, req.combinator, req.data)
+        if _serialized(first) != _serialized(second):
             raise PurityViolation(
                 f"purity check failed: {handle.label} returned differing results"
             )
         return first
-
-    def _fetch_source(self, req: LambdaRequest, store):
-        if req.uri is not None:
-            if store is None:
-                raise InvalidValue("resource sources need a resource store")
-            return store.get_resource(req.uri)
-        return req.data
 
     # --- combinators
 
@@ -370,9 +344,5 @@ class LambdaMachine:
         self.close()
 
 
-def _require_serializable(result):
-    if isinstance(result, FunctionValue) or _contains_function_value(result):
-        raise UnserializableResult(
-            "result is a function value and cannot be serialized"
-        )
-    return result
+def _serialized(result) -> Optional[str]:
+    return None if isinstance(result, FunctionValue) else canonical_json(result)

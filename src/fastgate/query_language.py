@@ -20,6 +20,7 @@ explicit /rest/ path.  "from" scopes function-name resolution over the
 whole function list, parenthesized items included, but not the operand.
 Reduce and filter take exactly one function; a batched (multi-function)
 list is legal for map and apply and its items must be plain names.
+Combinators nest at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
-from .lambda_machine import FunctionRef, FunctionValue, _contains_function_value
-from .values import Value, validate_value
+from .lambda_machine import FunctionRef, FunctionValue
+from .values import MAX_DEPTH, Value, validate_value
 
 KEYWORDS = frozenset(
     {
@@ -107,6 +108,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # combinators open around the current position
 
     def error(self, message: str, expected=()) -> ParseError:
         return ParseError(message, self.pos, frozenset(expected))
@@ -168,6 +170,10 @@ class _Parser:
             value, end = _DECODER.raw_decode(self.text, self.pos)
         except ValueError as exc:
             raise self.error(f"invalid JSON value: {exc}", {"JSON value"}) from None
+        except RecursionError:
+            raise self.error(
+                f"JSON value exceeds nesting depth {MAX_DEPTH}", {"JSON value"}
+            ) from None
         validate_value(value, what="query literal")
         self.pos = end
         return value
@@ -247,6 +253,9 @@ class _Parser:
 
     def parse_comb(self) -> CombExpr:
         start = self.pos
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"combinators nest deeper than {MAX_DEPTH}")
+        self.depth += 1
         comb = self.take_name("combinator").lower()
         fns = self.parse_fn_list()
         module = None
@@ -266,6 +275,7 @@ class _Parser:
             raise ParseError(
                 "batched function lists take plain names only", start, frozenset()
             )
+        self.depth -= 1
         return CombExpr(comb, tuple(fns), module, operand)
 
     def parse_fn_list(self) -> list:
@@ -352,6 +362,8 @@ def format_query(expr: QueryExpr) -> str:
 
 # --- evaluator
 
+_UNSERIALIZABLE_QUERY_RESULT = "query result is a function value and cannot be serialized"
+
 
 class QueryEngine:
     """Evaluates query ASTs against a lambda machine and a resource store."""
@@ -365,10 +377,8 @@ class QueryEngine:
 
     def evaluate(self, expr: QueryExpr) -> Value:
         result = self._eval(expr, None)
-        if isinstance(result, FunctionValue) or _contains_function_value(result):
-            raise UnserializableResult(
-                "query result is a function value and cannot be serialized"
-            )
+        if isinstance(result, FunctionValue):
+            raise UnserializableResult(_UNSERIALIZABLE_QUERY_RESULT)
         return result
 
     def _eval(self, expr: QueryExpr, module_ctx: Optional[str]):
@@ -383,7 +393,7 @@ class QueryEngine:
             return self._eval_comb(expr, module_ctx)
         if isinstance(expr, PostTo):
             value = self._eval(expr.inner, module_ctx)
-            if isinstance(value, FunctionValue) or _contains_function_value(value):
+            if isinstance(value, FunctionValue):
                 raise UnserializableResult(
                     "cannot post a function value to a resource"
                 )
@@ -398,10 +408,14 @@ class QueryEngine:
             return self.machine.run(targets[0], expr.comb, operand)
         names = list(expr.fns)  # parser guarantees plain names when batched
         if expr.comb == "apply":
-            return {
+            batch = {
                 name: self.machine.run(target, "apply", operand)
                 for name, target in zip(names, targets)
             }
+            # a member is not a top-level result, so no exit guard would see it
+            if any(isinstance(item, FunctionValue) for item in batch.values()):
+                raise UnserializableResult(_UNSERIALIZABLE_QUERY_RESULT)
+            return batch
         columns = [self.machine.run(target, "map", operand) for target in targets]
         return [
             {name: column[i] for name, column in zip(names, columns)}

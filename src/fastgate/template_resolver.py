@@ -15,10 +15,10 @@ depth budget, so reference cycles terminate with DepthExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 from urllib.parse import parse_qsl, unquote
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
+from .lambda_machine import FunctionRef, FunctionValue
 from .values import Value, canonical_json, parse_scalar
 
 DEFAULT_DEPTH_LIMIT = 8
@@ -149,11 +149,8 @@ class TemplateResolver:
         self.machine = machine
         self.depth_limit = depth_limit
 
-    def resolve(self, payload: Value, depth_limit: Optional[int] = None) -> Value:
-        limit = self.depth_limit if depth_limit is None else depth_limit
-        if limit < 1:
-            raise InvalidValue(f"depth limit must be >= 1, got {limit}")
-        return self._walk(payload, limit)
+    def resolve(self, payload: Value) -> Value:
+        return self._walk(payload, self.depth_limit)
 
     def _walk(self, value: Value, depth: int) -> Value:
         if isinstance(value, str):
@@ -202,15 +199,13 @@ class TemplateResolver:
         handle = self._lookup(ref.path)
         args = {name: parse_scalar(raw) for name, raw in ref.args().items()}
         result = self.machine.bind_and_call(handle, args)
-        if not _is_plain_value(result):
+        if isinstance(result, FunctionValue):
             raise UnserializableResult(
                 "template resolved to a function value, which cannot be spliced"
             )
         return result
 
     def _lookup(self, path: str):
-        from .lambda_machine import FunctionRef
-
         segments = [unquote(s) for s in path.split("/")[2:] if s]
         if len(segments) == 2:
             return self.machine.lookup(FunctionRef(segments[0], segments[1]))
@@ -219,9 +214,3 @@ class TemplateResolver:
         raise MalformedTemplate(
             f"lambda template path needs one or two segments, got {path!r}"
         )
-
-
-def _is_plain_value(result) -> bool:
-    from .lambda_machine import FunctionValue, _contains_function_value
-
-    return not isinstance(result, FunctionValue) and not _contains_function_value(result)

@@ -64,6 +64,8 @@ def loads_strict(text: str | bytes, *, what: str = "payload") -> Value:
         value = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:
         raise InvalidValue(f"malformed JSON in {what}: {exc}") from None
+    except RecursionError:
+        raise InvalidValue(f"{what} exceeds nesting depth {MAX_DEPTH}") from None
     validate_value(value, what=what)
     return value
 

@@ -12,6 +12,7 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+import fastgate
 from fastgate import build_app
 from fastgate.cli import GatewayServer, main
 from fastgate.config import Config, load_config_file, make_config, parse_bind
@@ -444,6 +445,23 @@ def test_short_body_is_rejected(live_server):
     assert json.loads(body) == {"message": "request body is shorter than its Content-Length"}
 
 
+def test_expect_100_continue_invites_only_a_body_the_gateway_reads(live_server):
+    url, _ = live_server
+    head = b"POST /rest/expect HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+    with socket.create_connection(_address(url), timeout=SOCKET_TIMEOUT_S) as sock:
+        sock.sendall(head + b"Content-Length: 999999999\r\n\r\n")
+        reply = sock.makefile("rb").read()  # until the server closes
+    assert reply.startswith(b"HTTP/1.1 413 Request Entity Too Large\r\n")
+    assert b"\r\nConnection: close\r\n" in reply
+    with socket.create_connection(_address(url), timeout=SOCKET_TIMEOUT_S) as sock:
+        sock.sendall(head + b"Content-Length: 3\r\nConnection: close\r\n\r\n")
+        reader = sock.makefile("rb")
+        assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reader.readline() == b"\r\n"
+        sock.sendall(b"[1]")
+        assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
+
+
 def test_malformed_request_line_answers_json(live_server):
     url, _ = live_server
     [(status, headers, body)] = _raw_exchange(url, b"NONSENSE\r\n\r\n")
@@ -508,6 +526,9 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
 def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
     port = _free_port()
     store_path = tmp_path / "persisted.json"
+    # the child imports the same fastgate as this test, installed or not
+    source_root = os.path.dirname(os.path.dirname(fastgate.__file__))
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -521,6 +542,7 @@ def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     try:
         base = f"http://127.0.0.1:{port}"

@@ -320,7 +320,7 @@ def test_fast_fns_accepts_loose_encodings(client):
     want = client.post(
         "/fast/pricer", json={"fns": ["price", "delta"], "data": trade}
     )[1]
-    for encoded in ('["price","delta"]', "['price','delta']", "price,delta"):
+    for encoded in ('["price","delta"]', "['price','delta']", "price,delta", "('price','delta')"):
         got = client.post("/fast/pricer", json={"fns": encoded, "data": trade})
         assert got == (200, want)
     got = client.request(
@@ -329,6 +329,13 @@ def test_fast_fns_accepts_loose_encodings(client):
         query={"fns": "price,delta", "data": json.dumps(trade)},
     )
     assert got == (200, want)
+    no_names = {"message": "fns must be a non-empty list of function names"}
+    for encoded, reply in (
+        ("", (400, {"message": "fns is required when the path names no function"})),
+        ("[]", (400, no_names)),
+        ("[" * 100_000, (400, no_names)),
+    ):
+        assert client.post("/fast/pricer", json={"fns": encoded, "data": trade}) == reply
 
 
 def test_fast_batch_with_to_uri(client):
@@ -424,6 +431,51 @@ def test_query_missing_q(client):
         400,
         {"message": 'missing query parameter "q"'},
     )
+
+
+def test_query_function_values_never_reach_the_wire(client):
+    for q in (
+        "Apply add from higher_order_arithmetic on 2",
+        "Apply [add, add] from higher_order_arithmetic on 2",
+    ):
+        assert client.get("/query", query={"q": q}) == (
+            500,
+            {"message": "query result is a function value and cannot be serialized"},
+        )
+
+
+@pytest.mark.parametrize(
+    "path, body, message",
+    [
+        (
+            "/lambda/basic_arithmetic/add",
+            "[" * 100_000,
+            "request body exceeds nesting depth 64",
+        ),
+        (
+            "/query",
+            {"q": "Map add from basic_arithmetic on " * 1000 + "[[1,2]]"},
+            "combinators nest deeper than 64 at position 2112",
+        ),
+        (
+            "/query",
+            {"q": "Apply (" * 2000 + "add" + ") on 1" * 2000},
+            "combinators nest deeper than 64 at position 448",
+        ),
+        (
+            "/query",
+            {"q": "Apply add on " + "[" * 100_000},
+            "JSON value exceeds nesting depth 64 at position 13",
+        ),
+    ],
+    ids=["json-body", "query-map-chain", "query-paren-chain", "query-json-literal"],
+)
+def test_deep_nesting_is_a_400_not_a_recursion_error(client, path, body, message):
+    if isinstance(body, str):
+        reply = client.post(path, body=body)
+    else:
+        reply = client.post(path, json=body)
+    assert reply == (400, {"message": message})
 
 
 def test_query_parse_errors_are_400_with_position(client):
@@ -542,6 +594,11 @@ def test_purity_checked_gateway_rejects_impure_functions():
         }
         # pure functions still answer normally under the checked mode
         assert client.post("/lambda/basic_arithmetic/add", json={"data": [1, 2]}) == (200, 3)
+        # and a function value gets the same answer as without the check
+        assert client.post("/lambda/higher_order_arithmetic/add", json={"data": [2]}) == (
+            500,
+            {"message": "the result is a function value and cannot be returned over the wire"},
+        )
     finally:
         app.machine.close()
 

@@ -24,7 +24,6 @@ from fastgate.lambda_machine import (
     LambdaMachine,
     LambdaRequest,
 )
-from fastgate.rest_machine import ResourceStore
 
 TEST_FUNCTIONS = {
     "is_positive": lambda x: x > 0,
@@ -169,24 +168,19 @@ def test_bad_combinator_rejected(machine):
 
 
 def test_invoke_with_resource_source(machine):
-    store = ResourceStore()
-    store.post_resource("/rest/pairs", [[1, 2], [3, 4]])
+    # the gateway fetches a `uri` source itself and passes the value inline
     request = LambdaRequest(
-        FunctionRef("basic_arithmetic", "add"), "map", uri="/rest/pairs"
+        FunctionRef("basic_arithmetic", "add"), "map", data=[[1, 2], [3, 4]]
     )
-    assert machine.invoke(request, store) == [3, 7]
-    with pytest.raises(InvalidValue):
-        machine.invoke(request)  # resource source without a store
+    assert machine.invoke(request) == [3, 7]
 
 
 def test_purity_verification(machine):
-    store = ResourceStore()
-    store.post_resource("/rest/pairs", [[1, 2]])
-    request = LambdaRequest(
-        FunctionRef("basic_arithmetic", "add"), "map", uri="/rest/pairs"
-    )
-    assert machine.verify_purity(request, store) is True
-    assert machine.invoke_checked(request, store) == [3]
+    request = LambdaRequest(FunctionRef("basic_arithmetic", "add"), "map", data=[[1, 2]])
+    assert machine.invoke_checked(request) == machine.invoke(request) == [3]
+    curried = LambdaRequest(FunctionRef("higher_order_arithmetic", "add"), data=[2])
+    # two function values compare equal; the caller's exit guard rejects them
+    assert isinstance(machine.invoke_checked(curried), FunctionValue)
 
 
 def test_purity_check_catches_impure_functions():
@@ -197,11 +191,17 @@ def test_purity_check_catches_impure_functions():
         ticks["n"] += 1
         return ticks["n"]
 
-    machine.register_package("impure_pkg", {"tick": impure})
-    request = LambdaRequest(FunctionRef("impure_pkg", "tick"), "apply", data={})
-    assert machine.verify_purity(request) is False
-    with pytest.raises(PurityViolation):
-        machine.invoke_checked(request)
+    def sometimes_a_function():
+        ticks["n"] += 1
+        return FunctionValue(impure) if ticks["n"] % 2 else ticks["n"]
+
+    machine.register_package(
+        "impure_pkg", {"tick": impure, "sometimes_a_function": sometimes_a_function}
+    )
+    for name in ("tick", "sometimes_a_function"):
+        request = LambdaRequest(FunctionRef("impure_pkg", name), "apply", data={})
+        with pytest.raises(PurityViolation):
+            machine.invoke_checked(request)
     machine.close()
 
 

@@ -21,6 +21,7 @@ from fastgate.query_language import (
     parse,
 )
 from fastgate.rest_machine import ResourceStore
+from fastgate.values import MAX_DEPTH
 
 GOLDEN = {
     "get_weather for latitude=35.05 and longitude =118.25": SimpleCall(
@@ -134,6 +135,13 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("garbage(")
     assert exc.value.position == len("garbage")
+
+
+def test_combinators_nest_at_most_max_depth():
+    parse("Map f on " * MAX_DEPTH + "xs")
+    with pytest.raises(ParseError) as exc:
+        parse("Map f on " * (MAX_DEPTH + 1) + "xs")
+    assert exc.value.message.startswith(f"combinators nest deeper than {MAX_DEPTH}")
 
 
 def test_quoted_strings_are_never_resource_refs():
