@@ -238,8 +238,8 @@ class Gateway:
     def handle_query(self, req: WireRequest) -> Value:
         from .query_language import PostTo, parse
 
-        text = req.query.get("q")
-        body = self._json_body(req)
+        params, body = self._call_arguments(req)
+        text = params.get("q")
         if isinstance(body, dict) and isinstance(body.get("q"), str):
             text = body["q"]
         if not text:

@@ -1,9 +1,12 @@
 """The resource engine: a URI-addressed store of mutable values.
 
 This is the only mutable state in the system.  Every URI lives under
-/rest/, maps to at most one value, and POST is an upsert.  Reads never
-block each other; writes swap whole values so a concurrent read observes
-either the old or the new value, never a partial one.
+/rest/, maps to at most one value, and POST is an upsert.  Each URI holds
+its value's canonical JSON text, computed once when the value is posted;
+a read parses a fresh value from it.  Text is immutable, so no reader can
+change what another sees.  Reads never block each other; writes swap
+whole entries so a concurrent read observes either the old or the new
+value, never a partial one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import threading
 import urllib.parse
 
 from .errors import InvalidUri, NotFound, PayloadTooLarge
-from .values import Value, canonical_json, copy_value, loads_strict, validate_value
+from .values import Value, canonical_json, loads_strict, validate_value
 
 DEFAULT_MAX_BYTES = 1024 * 1024
 
@@ -47,33 +50,31 @@ def normalize_uri(path: str) -> str:
 
 
 class ResourceStore:
-    """Associative URI -> value mapping with per-URI linearizability."""
+    """Associative URI -> canonical JSON text, with per-URI linearizability."""
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
-        self._entries: dict[str, Value] = {}
+        self._entries: dict[str, str] = {}
         self._lock = threading.RLock()
 
     def get_resource(self, uri: str) -> Value:
-        """Return the stored value, or raise NotFound."""
+        """Return a fresh copy of the stored value, or raise NotFound."""
         key = normalize_uri(uri)
-        # dict lookup is atomic; entries are replaced wholesale, never mutated
         try:
-            stored = self._entries[key]
+            text = self._entries[key]  # dict lookup is atomic
         except KeyError:
             raise NotFound(RESOURCE_NOT_FOUND) from None
-        return copy_value(stored)
+        return json.loads(text)  # validated when it was posted
 
     def post_resource(self, uri: str, value: Value) -> dict:
         """Create or replace the entry (upsert); returns a success status."""
         key = normalize_uri(uri)
         validate_value(value)
-        serialized = canonical_json(value)
-        if len(serialized.encode("utf-8")) > self.max_bytes:
+        text = canonical_json(value)  # ASCII, so its length is its size in bytes
+        if len(text) > self.max_bytes:
             raise PayloadTooLarge(f"payload exceeds {self.max_bytes} bytes")
-        stored = copy_value(value)
         with self._lock:
-            self._entries[key] = stored
+            self._entries[key] = text
         return dict(SUCCESS)
 
     def delete_resource(self, uri: str) -> dict:
@@ -91,28 +92,33 @@ class ResourceStore:
             keys = list(self._entries)
         return sorted(k for k in keys if k.startswith(prefix))
 
-    def snapshot(self) -> dict[str, Value]:
-        """A deep copy of the whole store, keyed by URI."""
-        with self._lock:
-            return {k: copy_value(v) for k, v in self._entries.items()}
-
     def canonical_dump(self) -> str:
-        """Deterministic serialization of the entire store, for diffing."""
-        return canonical_json(self.snapshot())
+        """The whole store as the canonical JSON of a URI-keyed object."""
+        with self._lock:
+            entries = sorted(self._entries.items())
+        return "{" + ",".join(canonical_json(k) + ":" + v for k, v in entries) + "}"
 
     def save(self, path: str) -> None:
-        """Write the store to a UTF-8 JSON file, atomically."""
-        data = canonical_json(self.snapshot())
+        """Write the store to a UTF-8 JSON file, atomically and durably."""
+        data = self.canonical_dump()
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        # the rename is durable only once the directory entry is synced
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def load(self, path: str) -> None:
         """Replace the store contents from a JSON file written by save()."""
@@ -121,8 +127,6 @@ class ResourceStore:
         data = loads_strict(raw, what=f"store file {path}")
         if not isinstance(data, dict):
             raise InvalidUri(f"store file {path} must hold a JSON object keyed by URI")
-        entries = {}
-        for uri, value in data.items():
-            entries[normalize_uri(uri)] = copy_value(value)
+        entries = {normalize_uri(uri): canonical_json(value) for uri, value in data.items()}
         with self._lock:
             self._entries = entries

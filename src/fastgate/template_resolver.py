@@ -150,7 +150,11 @@ class TemplateResolver:
         self.depth_limit = depth_limit
 
     def resolve(self, payload: Value) -> Value:
-        return self._walk(payload, self.depth_limit)
+        try:
+            return self._walk(payload, self.depth_limit)
+        except RecursionError:
+            # a budget larger than the interpreter's stack runs out of stack first
+            raise DepthExceeded("template nesting is too deep to resolve") from None
 
     def _walk(self, value: Value, depth: int) -> Value:
         if isinstance(value, str):

@@ -94,7 +94,7 @@ def test_build_app_loads_existing_store(tmp_path):
 def test_build_app_with_missing_store_file_starts_empty(tmp_path):
     app = build_app(Config(store_path=str(tmp_path / "absent.json")))
     try:
-        assert app.store.snapshot() == {}
+        assert app.store.canonical_dump() == "{}"
     finally:
         app.machine.close()
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from fastgate import build_app
+from fastgate.config import Config
 from fastgate.http_gateway import WireRequest, WireResponse
 from fastgate.values import canonical_json
 
@@ -272,6 +273,28 @@ def test_template_depth_limit_maps_to_500(client):
     assert body == {"message": "template nesting exceeds the depth limit of 8"}
 
 
+def test_template_chain_deeper_than_the_stack_is_depth_exceeded():
+    app = build_app(Config(depth_limit=5000))
+    try:
+        chain = "{{" * 3000 + "/rest/x" + "}}" * 3000
+        status, body = Client(app.gateway).post(
+            "/lambda/basic_arithmetic/add", json={"data": chain}
+        )
+    finally:
+        app.machine.close()
+    assert (status, body) == (500, {"message": "template nesting is too deep to resolve"})
+
+
+def test_stored_objects_resolve_templates_in_key_order(client):
+    # the store keeps canonical text, so a posted object's key order is not kept
+    # and the first failing template is the same whichever order was posted
+    absent = "{{/rest/absent}}"
+    for data in ({"b": "{{bad}}", "a": absent}, {"a": absent, "b": "{{bad}}"}):
+        client.post("/rest/args", json={"data": data})
+        reply = client.get("/lambda/basic_arithmetic/add", query={"uri": "/rest/args"})
+        assert reply == (404, {"message": "Resource not found"})
+
+
 def test_template_malformed_maps_to_400(client):
     status, body = client.post(
         "/lambda/basic_arithmetic/add", json={"data": ["{{/rest/x", 1]}
@@ -502,6 +525,19 @@ def test_query_body_q_wins_over_param(client):
         query={"q": "Apply add from basic_arithmetic on [5, 5]"},
     )
     assert (status, body) == (200, 3)
+
+
+def test_query_via_form_encoded_body(client):
+    client.post("/rest/xs", json={"data": [1, 2]})
+    form = "application/x-www-form-urlencoded"
+    assert client.post("/query", body=b"q=Get+xs", content_type=form) == (200, [1, 2])
+    status, body = client.post(
+        "/query",
+        body=b"q=Apply+add+from+basic_arithmetic+on+xs",
+        query={"q": "Get xs"},
+        content_type=form,
+    )
+    assert (status, body) == (200, 3)  # the form wins over the query string
 
 
 # --- determinism and the WSGI adapter

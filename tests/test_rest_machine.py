@@ -1,10 +1,19 @@
+import os
+import random
+import sys
 import threading
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fastgate import build_app, rest_machine
 from fastgate.errors import InvalidUri, NotFound, PayloadTooLarge
+from fastgate.http_gateway import WireRequest
 from fastgate.rest_machine import ResourceStore, normalize_uri
+from fastgate.values import canonical_json
 
 from test_values import json_values
 
@@ -87,6 +96,50 @@ def test_save_load_round_trip(tmp_path):
     assert fresh.canonical_dump() == store.canonical_dump()
     assert fresh.get_resource("/rest/b/c") == "text"
 
+    # a file written by an earlier release loads and saves back byte for byte
+    path.write_text(EARLIER_STORE_FILE, encoding="utf-8")
+    fresh.load(str(path))
+    fresh.save(str(path))
+    assert path.read_text(encoding="utf-8") == EARLIER_STORE_FILE
+    assert fresh.get_resource("/rest/café/ñ")["zeta"] == 'naïve ☃ "q"\n\t\ud800'
+
+
+# saved before the store kept canonical text, with that release's save()
+EARLIER_STORE_FILE = (
+    '{"/rest/a b":"{{/rest/book}}","/rest/book":[[100,1,20.5,0.2],'
+    "[1e-05,1e+16,-0.0,123456789012345678901234567890]],"
+    '"/rest/caf\\u00e9/\\u00f1":{"alpha":[true,false,null],'
+    '"zeta":"na\\u00efve \\u2603 \\"q\\"\\n\\t\\ud800","\\u00c9mile":{}},'
+    '"/rest/empty":[]}'
+)
+
+
+def test_save_syncs_the_file_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def inode(stat):
+        return stat.st_dev, stat.st_ino
+
+    def fsync(fd):
+        events.append(("fsync", inode(os.fstat(fd))))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", inode(os.stat(src))))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(rest_machine.os, "fsync", fsync)
+    monkeypatch.setattr(rest_machine.os, "replace", replace)
+    store = ResourceStore()
+    store.post_resource("/rest/a", [1, 2])
+    store.save(str(tmp_path / "store.json"))
+    assert [kind for kind, _ in events] == ["fsync", "replace", "fsync"]
+    (_, synced), (_, renamed), (_, directory) = events
+    assert synced == renamed  # the data reaches the disk before it gets its name
+    assert directory == inode(os.stat(tmp_path))  # then the new name itself
+    assert (tmp_path / "store.json").read_text() == '{"/rest/a":[1,2]}'
+
 
 def test_load_rejects_bad_shapes(tmp_path):
     path = tmp_path / "bad.json"
@@ -107,6 +160,13 @@ def test_canonical_dump_is_order_independent():
     b.post_resource("/rest/two", 2)
     b.post_resource("/rest/one", 1)
     assert a.canonical_dump() == b.canonical_dump()
+    assert ResourceStore().canonical_dump() == "{}"
+
+    a.post_resource("/rest/zoë/ключ", {"ü": "☃", "a": [1.5, None]})
+    a.post_resource("/rest/one/x", "naïve")
+    uris = ["/rest/one", "/rest/two", "/rest/zoë/ключ", "/rest/one/x"]
+    reference = canonical_json({uri: a.get_resource(uri) for uri in uris})
+    assert a.canonical_dump() == reference
 
 
 def test_concurrent_writers_and_readers_stay_consistent():
@@ -145,4 +205,121 @@ def test_concurrent_writers_and_readers_stay_consistent():
 def test_post_then_get_round_trips(value):
     store = ResourceStore()
     store.post_resource("/rest/v", value)
-    assert store.get_resource("/rest/v") == value
+    got = store.get_resource("/rest/v")
+    assert got == value
+    assert canonical_json(got) == canonical_json(value)  # 1.0 stays 1.0, True stays true
+
+
+# --- per-URI linearizability (Wing & Gong, "Testing and verifying concurrent
+# objects", JPDC 1993): every history of GET/POST/DELETE on one URI must have
+# a legal order, consistent with real time, against a register that holds a
+# value or is absent.
+
+
+@dataclass(frozen=True)
+class Op:
+    call: int  # perf_counter_ns when issued
+    ret: int  # perf_counter_ns when answered
+    kind: str  # "GET" | "POST" | "DELETE"
+    value: Optional[str]  # canonical text posted or read; None for absent
+    ok: bool = True  # DELETE found the URI
+
+
+def _step(state: Optional[str], op: Op):
+    """(legal, next state) of `op` against the register's `state`."""
+    if op.kind == "POST":
+        return True, op.value
+    if op.kind == "GET":
+        return op.value == state, state
+    return op.ok == (state is not None), None
+
+
+def linearizable(history: list) -> bool:
+    """Brute-force search from an absent URI, memoized on (linearized set, state)."""
+    ops = sorted(history, key=lambda op: op.call)
+    full = (1 << len(ops)) - 1
+    dead_ends = set()
+
+    def search(done: int, state: Optional[str]) -> bool:
+        if done == full:
+            return True
+        if (done, state) in dead_ends:
+            return False
+        pending = [i for i in range(len(ops)) if not done >> i & 1]
+        horizon = min(ops[i].ret for i in pending)
+        for i in pending:
+            if ops[i].call > horizon:  # something pending returned before this began
+                break
+            legal, after = _step(state, ops[i])
+            if legal and search(done | 1 << i, after):
+                return True
+        dead_ends.add((done, state))
+        return False
+
+    return search(0, None)
+
+
+def test_linearizability_checker_rejects_a_bad_history():
+    a = canonical_json(["a"])
+    # a read overlapping a write may see either side of it...
+    assert linearizable([Op(0, 100, "POST", a), Op(10, 20, "GET", None), Op(30, 40, "GET", a)])
+    # ...but once a later read has seen the write, no read after it sees the old state
+    assert not linearizable(
+        [Op(0, 100, "POST", a), Op(10, 20, "GET", a), Op(30, 40, "GET", None)]
+    )
+    assert not linearizable([Op(0, 10, "POST", a), Op(20, 30, "DELETE", None, ok=False)])
+
+
+def test_rest_is_linearizable_per_uri():
+    app = build_app()
+    gateway = app.gateway
+    rng = random.Random(5)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' requests finely
+    try:
+        for round_no in range(40):
+            uris = [f"/rest/lin/{round_no}/{k}" for k in range(2)]
+            n_threads = rng.randint(2, 8)
+            plans = [
+                [(rng.choice(("GET", "POST", "DELETE")), rng.choice(uris)) for _ in range(6)]
+                for _ in range(n_threads)
+            ]
+            histories = {uri: [] for uri in uris}
+            start = threading.Barrier(n_threads, timeout=5)
+
+            def client(tid, plan):
+                start.wait()
+                for seq, (method, uri) in enumerate(plan):
+                    body = None
+                    if method == "POST":
+                        body = canonical_json([tid, seq, list(range(50))]).encode()
+                    call = time.perf_counter_ns()
+                    reply = gateway.handle(WireRequest(method, uri, {}, body))
+                    ret = time.perf_counter_ns()
+                    if method == "POST":
+                        assert reply.status == 200
+                        op = Op(call, ret, method, body.decode())
+                    elif method == "GET":
+                        assert reply.status in (200, 404)
+                        found = reply.status == 200
+                        op = Op(call, ret, method, canonical_json(reply.body) if found else None)
+                    else:
+                        assert reply.status in (200, 404)
+                        op = Op(call, ret, method, None, ok=reply.status == 200)
+                    histories[uri].append(op)  # list.append is atomic
+
+            threads = [
+                threading.Thread(target=client, args=(tid, plan))
+                for tid, plan in enumerate(plans)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            assert sum(map(len, histories.values())) == 6 * n_threads  # no client died
+            for uri, history in histories.items():
+                assert linearizable(history), (uri, history)
+    finally:
+        sys.setswitchinterval(switch)
+        app.machine.close()
