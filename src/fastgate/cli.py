@@ -231,7 +231,6 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
         if config.store_path:
             bundle.store.save(config.store_path)
             click.echo(f"store flushed to {config.store_path}", err=True)
-        bundle.machine.close()
 
 
 @main.command()

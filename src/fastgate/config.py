@@ -24,9 +24,6 @@ ENV_CONFIG = "FAST_CONFIG"
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8080
 
-# map fan-out width for the server; purity makes the width unobservable
-DEFAULT_MAP_WORKERS = 4
-
 _CONFIG_KEYS = frozenset(
     {"bind", "packages", "store", "depth", "max_bytes", "check_purity"}
 )
@@ -136,12 +133,12 @@ class AppBundle:
     gateway: Gateway
 
 
-def build_app(config: Optional[Config] = None, map_workers: int = DEFAULT_MAP_WORKERS) -> AppBundle:
+def build_app(config: Optional[Config] = None) -> AppBundle:
     config = (config or Config()).validate()
     store = ResourceStore(max_bytes=config.max_bytes)
     if config.store_path and os.path.exists(config.store_path):
         store.load(config.store_path)
-    machine = LambdaMachine(map_workers=map_workers)
+    machine = LambdaMachine()
     register_builtins(machine, config.packages)
     resolver = TemplateResolver(store, machine, config.depth_limit)
     engine = QueryEngine(machine, store)

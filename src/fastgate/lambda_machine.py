@@ -2,8 +2,9 @@
 
 Calls have no side effects and are deterministic: the same request yields
 the same serialized result every time, so any two requests commute.  The
-four dispatch modes are apply, map, reduce and filter; map can fan out to
-a thread pool and still assembles results in input order.
+four dispatch modes are apply, map, reduce and filter.  Map runs on the
+calling thread; fanning it out to map_workers > 1 threads is opt-in, and the
+server does not, since pure-Python bodies cannot run in parallel under the GIL.
 """
 
 from __future__ import annotations

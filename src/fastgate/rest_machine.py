@@ -18,7 +18,7 @@ import threading
 import urllib.parse
 
 from .errors import InvalidUri, NotFound, PayloadTooLarge
-from .values import Value, canonical_json, loads_strict, validate_value
+from .values import MAX_DEPTH, Value, canonical_json, loads_strict, validate_value
 
 DEFAULT_MAX_BYTES = 1024 * 1024
 
@@ -124,7 +124,8 @@ class ResourceStore:
         """Replace the store contents from a JSON file written by save()."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-        data = loads_strict(raw, what=f"store file {path}")
+        # the URI object is one level above the entries, each posted at most MAX_DEPTH deep
+        data = loads_strict(raw, what=f"store file {path}", depth=MAX_DEPTH + 1)
         if not isinstance(data, dict):
             raise InvalidUri(f"store file {path} must hold a JSON object keyed by URI")
         entries = {normalize_uri(uri): canonical_json(value) for uri, value in data.items()}

@@ -18,9 +18,9 @@ Value = Union[None, bool, int, float, str, list, dict]
 MAX_DEPTH = 64
 
 
-def validate_value(value: Any, *, what: str = "value") -> None:
+def validate_value(value: Any, *, what: str = "value", depth: int = MAX_DEPTH) -> None:
     """Check that `value` is a well-formed tree; raise InvalidValue otherwise."""
-    _validate(value, MAX_DEPTH, what)
+    _validate(value, depth, what)
 
 
 def _validate(value: Any, budget: int, what: str) -> None:
@@ -58,7 +58,7 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite JSON constant {name} not allowed")
 
 
-def loads_strict(text: str | bytes, *, what: str = "payload") -> Value:
+def loads_strict(text: str | bytes, *, what: str = "payload", depth: int = MAX_DEPTH) -> Value:
     """Parse JSON, rejecting NaN/Infinity and enforcing value invariants."""
     try:
         value = json.loads(text, parse_constant=_reject_constant)
@@ -66,7 +66,7 @@ def loads_strict(text: str | bytes, *, what: str = "payload") -> Value:
         raise InvalidValue(f"malformed JSON in {what}: {exc}") from None
     except RecursionError:
         raise InvalidValue(f"{what} exceeds nesting depth {MAX_DEPTH}") from None
-    validate_value(value, what=what)
+    validate_value(value, what=what, depth=depth)
     return value
 
 

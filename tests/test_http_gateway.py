@@ -1,14 +1,19 @@
 import io
 import json
+import threading
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastgate import build_app
 from fastgate.config import Config
+from fastgate.errors import FastError
 from fastgate.http_gateway import WireRequest, WireResponse
 from fastgate.values import canonical_json
 
 from conftest import Client
+from test_values import json_values
 
 # --- plumbing and routing
 
@@ -652,3 +657,159 @@ def test_handle_never_raises(bundle):
         assert isinstance(response, WireResponse)
         assert response.status in {400, 404, 405, 413, 422, 500}
         canonical_json(response.body)  # must always serialize
+
+
+def test_served_map_runs_on_the_request_thread(bundle, client, monkeypatch):
+    book = [[90 + i % 20, 0.5 + i % 3, 100.0, 0.2] for i in range(1000)]
+    assert client.post("/rest/book", json={"data": book}) == (200, {"status": "success"})
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)  # a map pool's workers are ThreadPoolExecutor-N_M
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.enumerate()
+    status, prices = client.get("/lambda/pricer/price", query={"uri": "/rest/book", "to_do": "map"})
+    assert status == 200 and len(prices) == 1000
+    assert started == []
+    assert threading.enumerate() == before
+
+
+# --- wire fuzzing: any request gets a documented status and a JSON message
+
+_DOCUMENTED_STATUSES = {200, 400, 404, 405, 413, 422, 500}
+_FUNCTIONS = [
+    "basic_arithmetic/add", "basic_arithmetic/divide", "higher_order_arithmetic/add",
+    "pricer/price", "pricer/implied_vol", "pricer/get_value", "weather/get_weather",
+]
+_QUERIES = [
+    "Apply add from basic_arithmetic on [1, 2]",
+    "Map price from pricer on book",
+    "Reduce add from basic_arithmetic on Map [price] from pricer on /rest/book",
+    "Map price, delta from pricer on book",
+    "Filter add on [1, 2]",
+    "Apply add from basic_arithmetic on {{/rest/pair}}",
+    "Get Apply (Apply add on 2) from higher_order_arithmetic on 3",
+    "Post Map price from pricer on book to /rest/out",
+    "price for strike = 100 and time = 1 and spot = 100 and vol = 0.2",
+]
+_segments = st.text(alphabet="ab{}/?%._- é", max_size=6)
+_paths = st.one_of(
+    st.lists(_segments, max_size=3).map(lambda segs: "/rest/" + "/".join(segs))
+    | st.sampled_from(["/rest/book", "/rest/pair", "/rest"]),
+    st.sampled_from(_FUNCTIONS + ["pricer", "add", "nope/x", "a/b/c"]).map(lambda f: "/lambda/" + f)
+    | _segments.map(lambda seg: "/lambda/" + seg),
+    st.tuples(st.sampled_from(["pricer", "basic_arithmetic", "nope", ""]), _segments).map(
+        lambda ms: "/fast/" + "/".join(ms)
+    ),
+    st.sampled_from(["/query", "/healthz"]),
+    st.tuples(st.sampled_from(["/query", "/healthz", "/", ""]), _segments).map("".join),
+)
+_methods = st.sampled_from(["GET", "POST"] * 3 + ["PUT", "DELETE", "PATCH", "HEAD"])
+_numbers = st.integers(min_value=-5, max_value=200) | st.floats(-1e3, 1e3)
+# arguments the builtin functions accept, so calls also reach evaluation and 200s
+_arguments = st.one_of(
+    st.lists(_numbers, max_size=4),
+    st.lists(st.lists(_numbers, min_size=2, max_size=4), max_size=3),
+    st.fixed_dictionaries({"a": _numbers, "b": _numbers}),
+)
+_param_values = st.one_of(
+    st.sampled_from(
+        ["map", "reduce", "filter", "apply", "/rest/book", "/rest/pair", "/rest/none",
+         "price,delta", '["add"]', "1e400", "NaN", "true", "{{/rest/pair}}"]
+    ),
+    st.tuples(st.sampled_from(_QUERIES), st.integers(min_value=1, max_value=90)).map(
+        lambda qn: qn[0][: qn[1]]  # whole or truncated
+    ),
+    st.text(max_size=12),
+    (json_values | _arguments).map(json.dumps),
+)
+_queries = st.dictionaries(
+    st.sampled_from(["data", "uri", "to_do", "to_uri", "fns", "q", "children", "a", "b",
+                     "strike", "time", "spot", "vol"]) | st.text(max_size=4),
+    _param_values,
+    max_size=4,
+)
+_json_texts = st.one_of(
+    json_values,
+    _arguments,
+    st.fixed_dictionaries({}, optional={
+        "data": json_values | _arguments, "uri": _param_values, "to_do": _param_values,
+        "fns": json_values, "to_uri": _param_values, "q": _param_values,
+    }),
+).map(json.dumps)
+_bodies = st.one_of(
+    st.just((None, "")),
+    _json_texts.map(lambda text: (text.encode(), "application/json")),
+    st.tuples(_json_texts, st.integers(min_value=0)).map(
+        lambda tc: (tc[0][: tc[1] % max(1, len(tc[0]))].encode(), "application/json")
+    ),
+    _queries.map(lambda form: (urlencode(form).encode(), "application/x-www-form-urlencoded")),
+    st.binary(max_size=16).map(lambda raw: (raw, "")),
+)
+_positive = st.floats(min_value=0.05, max_value=10)
+_call_arguments = {
+    "basic_arithmetic/add": st.lists(_numbers, min_size=2, max_size=2),
+    "basic_arithmetic/divide": st.lists(_numbers, min_size=2, max_size=2),
+    "pricer/price": st.lists(_positive, min_size=4, max_size=4),
+    "weather/get_weather": st.lists(st.floats(-90, 90), min_size=2, max_size=2),
+}
+
+
+def _well_formed_call(function):
+    args = _call_arguments[function]
+    body = args.map(lambda a: {"data": a}) | st.lists(args, max_size=3).map(
+        lambda rows: {"data": rows, "to_do": "map"}
+    )
+    return st.tuples(
+        st.sampled_from(["GET", "POST"]),
+        st.just("/lambda/" + function),
+        st.just({}),
+        body.map(lambda b: (json.dumps(b).encode(), "application/json")),
+    )
+
+
+# besides arbitrary requests, well-formed calls and queries, so that
+# evaluation and the 200 path are reached as often as the error paths
+_requests = st.one_of(
+    st.tuples(_methods, _paths, _queries, _bodies),
+    st.sampled_from(sorted(_call_arguments)).flatmap(_well_formed_call),
+    st.tuples(
+        st.sampled_from(["GET", "POST"]),
+        st.just("/query"),
+        st.sampled_from(_QUERIES).map(lambda q: {"q": q}),
+        st.just((None, "")),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(request=_requests)
+def test_wire_fuzz_answers_documented_statuses(request):
+    method, path, query, (raw, content_type) = request
+    app = build_app()
+    client = Client(app.gateway)
+    client.post("/rest/book", json={"data": [[100, 1, 100, 0.2], [90, 0.5, 100, 0.3]]})
+    client.post("/rest/pair", json={"data": {"a": 4, "b": 5}})
+    escaped = []
+    route = app.gateway._route
+
+    def guarded_route(req):
+        try:
+            return route(req)
+        except FastError:
+            raise
+        except Exception as exc:  # what handle's last-resort guard would answer
+            escaped.append(exc)
+            raise
+
+    app.gateway._route = guarded_route
+    response = app.gateway.handle(WireRequest(method, path, query, raw, content_type))
+    assert escaped == []
+    assert response.status in _DOCUMENTED_STATUSES
+    if response.status != 200:
+        assert isinstance(response.body, dict) and set(response.body) == {"message"}
+        assert isinstance(response.body["message"], str)
+    canonical_json(response.body)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import sys
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fastgate import build_app, rest_machine
-from fastgate.errors import InvalidUri, NotFound, PayloadTooLarge
+from fastgate.errors import InvalidUri, InvalidValue, NotFound, PayloadTooLarge
 from fastgate.http_gateway import WireRequest
 from fastgate.rest_machine import ResourceStore, normalize_uri
-from fastgate.values import canonical_json
+from fastgate.values import MAX_DEPTH, canonical_json
 
 from test_values import json_values
 
@@ -150,6 +151,46 @@ def test_load_rejects_bad_shapes(tmp_path):
     path.write_text('{"no-prefix": 1}')
     with pytest.raises(InvalidUri):
         store.load(str(path))
+
+
+def _nested(depth: int):
+    value = "leaf"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_store_reloads_a_value_posted_at_full_depth(tmp_path):
+    store = ResourceStore()
+    store.post_resource("/rest/deep", _nested(MAX_DEPTH))
+    path = tmp_path / "store.json"
+    store.save(str(path))
+
+    fresh = ResourceStore()
+    fresh.load(str(path))
+    assert fresh.get_resource("/rest/deep") == _nested(MAX_DEPTH)
+    assert fresh.canonical_dump() == store.canonical_dump()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (canonical_json(_nested(MAX_DEPTH + 1)), f"exceeds nesting depth {MAX_DEPTH}"),
+        ("[1e400]", "non-finite number"),
+        ("[NaN]", "non-finite JSON constant NaN"),
+    ],
+    ids=["65-deep", "overflow", "NaN"],
+)
+def test_load_rejects_an_entry_post_would_refuse(tmp_path, entry, message):
+    path = tmp_path / "hand-written.json"
+    path.write_text('{"/rest/ok":[1],"/rest/bad":' + entry + "}")
+    store = ResourceStore()
+    with pytest.raises(InvalidValue) as exc:
+        store.load(str(path))
+    assert message in exc.value.message
+    with pytest.raises(InvalidValue):
+        store.post_resource("/rest/bad", json.loads(entry))
+    assert store.canonical_dump() == "{}"
 
 
 def test_canonical_dump_is_order_independent():
