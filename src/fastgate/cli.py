@@ -26,6 +26,10 @@ from .values import canonical_json, loads_strict
 
 DEFAULT_SERVER = "http://127.0.0.1:8080"
 
+# A connection that sends nothing for this long, between requests or in the
+# middle of one, is closed, so an idle client does not hold a thread forever.
+IDLE_TIMEOUT_S = 60.0
+
 
 class _ContinueOnRead:
     """`wsgi.input` for a request that sent `Expect: 100-continue`.
@@ -50,27 +54,35 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 in front of the server's WSGI app, one request at a time.
 
     The connection stays open until the client closes it or sends
-    `Connection: close`, the request is not HTTP/1.1, or the app answers
-    `Connection: close` because it left the body unread.  Every method
-    reaches the app, so an unknown one gets the app's 405, not a 501.
+    `Connection: close`, the request is not HTTP/1.1, the app answers
+    `Connection: close` because it left the body unread, or the client
+    stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an
+    unknown one gets the app's 405, not a 501.
     """
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
 
+    def setup(self):
+        super().setup()
+        self.connection.settimeout(IDLE_TIMEOUT_S)
+
     def handle_one_request(self):
         if self.server.closing:
             self.close_connection = True
             return
-        self.raw_requestline = self.rfile.readline(65537)
-        self.body_input = self.rfile
-        if len(self.raw_requestline) > 65536:
-            self.requestline = self.request_version = self.command = ""
-            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-        elif not self.raw_requestline:
+        try:
+            self.raw_requestline = self.rfile.readline(65537)
+            self.body_input = self.rfile
+            if len(self.raw_requestline) > 65536:
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            elif not self.raw_requestline:
+                self.close_connection = True
+            elif self.parse_request():
+                self._call_app()
+        except TimeoutError:  # the client went silent: drop it without a reply
             self.close_connection = True
-        elif self.parse_request():
-            self._call_app()
 
     def _call_app(self):
         path, _, query = self.path.partition("?")

@@ -30,7 +30,7 @@ from .errors import (
     UnknownParameter,
     UnserializableResult,
 )
-from .values import Value, canonical_json, validate_value
+from .values import MAX_DEPTH, Value, canonical_json, validate_value
 
 COMBINATORS = ("apply", "map", "reduce", "filter")
 
@@ -164,28 +164,32 @@ def _checked_result(result):
     """Validate a function result; FunctionValue passes only at the top level.
 
     This is the one deep walk for function values: every call goes through
-    it, so every other exit only has to test the top level.
+    it, so every other exit only has to test the top level.  A nested
+    function value always fails validation, so it is looked for only then.
     """
     if isinstance(result, FunctionValue):
         return result
-    if _contains_function_value(result):
-        raise UnserializableResult(
-            "result contains a function value and cannot be serialized"
-        )
     try:
         validate_value(result, what="result")
     except InvalidValue as exc:
+        if _contains_function_value(result, MAX_DEPTH):
+            raise UnserializableResult(
+                "result contains a function value and cannot be serialized"
+            ) from None
         raise DomainError(f"function produced an invalid result: {exc.message}") from None
     return result
 
 
-def _contains_function_value(value) -> bool:
+def _contains_function_value(value, budget: int) -> bool:
+    """Search as deep as validation looks, so a deep result cannot overflow the stack."""
+    if budget < 0:
+        return False
     if isinstance(value, FunctionValue):
         return True
     if isinstance(value, list):
-        return any(_contains_function_value(v) for v in value)
+        return any(_contains_function_value(v, budget - 1) for v in value)
     if isinstance(value, dict):
-        return any(_contains_function_value(v) for v in value.values())
+        return any(_contains_function_value(v, budget - 1) for v in value.values())
     return False
 
 

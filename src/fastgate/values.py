@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+from math import isfinite
 from typing import Any, Union
 
 from .errors import InvalidValue
@@ -26,23 +27,36 @@ def validate_value(value: Any, *, what: str = "value", depth: int = MAX_DEPTH) -
 def _validate(value: Any, budget: int, what: str) -> None:
     if budget < 0:
         raise InvalidValue(f"{what} exceeds nesting depth {MAX_DEPTH}")
-    if value is None or isinstance(value, (bool, str)):
-        return
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
-            raise InvalidValue(f"{what} contains a non-finite number")
-        return
+    # A child whose exact type is a JSON scalar is checked in the loop, with
+    # no call per leaf.  Any other child (a container, a subclass, a foreign
+    # type, or any child at all below the last level) takes a call, so the
+    # first failure and its message are those of a call per node.
+    child = budget - 1
     if isinstance(value, list):
         for item in value:
-            _validate(item, budget - 1, what)
-        return
-    if isinstance(value, dict):
+            kind = type(item)
+            if child < 0 or not (
+                kind is float or kind is str or kind is int or kind is bool or item is None
+            ):
+                _validate(item, child, what)
+            elif kind is float and not isfinite(item):
+                raise InvalidValue(f"{what} contains a non-finite number")
+    elif isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise InvalidValue(f"{what} has a non-string object key: {key!r}")
-            _validate(item, budget - 1, what)
-        return
-    raise InvalidValue(f"{what} contains a non-JSON type: {type(value).__name__}")
+            kind = type(item)
+            if child < 0 or not (
+                kind is float or kind is str or kind is int or kind is bool or item is None
+            ):
+                _validate(item, child, what)
+            elif kind is float and not isfinite(item):
+                raise InvalidValue(f"{what} contains a non-finite number")
+    elif isinstance(value, float):
+        if not isfinite(value):
+            raise InvalidValue(f"{what} contains a non-finite number")
+    elif not (value is None or isinstance(value, (bool, int, str))):
+        raise InvalidValue(f"{what} contains a non-JSON type: {type(value).__name__}")
 
 
 def copy_value(value: Value) -> Value:

@@ -471,6 +471,22 @@ def test_malformed_request_line_answers_json(live_server):
     assert json.loads(body) == {"message": "Bad request syntax ('NONSENSE')"}
 
 
+@pytest.mark.parametrize(
+    "sent",
+    [b"", b"POST /rest/stall HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n[1,"],
+    ids=["between-requests", "mid-body"],
+)
+def test_a_silent_connection_is_closed_after_the_idle_timeout(
+    live_server, monkeypatch, capsys, sent
+):
+    monkeypatch.setattr("fastgate.cli.IDLE_TIMEOUT_S", 0.2)
+    url, _ = live_server
+    with socket.create_connection(_address(url), timeout=SOCKET_TIMEOUT_S) as sock:
+        sock.sendall(sent)
+        assert sock.recv(65536) == b""  # closed without a reply, within SOCKET_TIMEOUT_S
+    assert capsys.readouterr().err == ""  # and without a traceback
+
+
 def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
     app = build_app()
     entered, release = threading.Event(), threading.Event()

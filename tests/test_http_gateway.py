@@ -10,6 +10,7 @@ from fastgate import build_app
 from fastgate.config import Config
 from fastgate.errors import FastError
 from fastgate.http_gateway import WireRequest, WireResponse
+from fastgate.lambda_machine import FunctionValue
 from fastgate.values import canonical_json
 
 from conftest import Client
@@ -504,6 +505,32 @@ def test_deep_nesting_is_a_400_not_a_recursion_error(client, path, body, message
     else:
         reply = client.post(path, json=body)
     assert reply == (400, {"message": message})
+
+
+def _nested(depth, leaf):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+_FUNCTION_LEAF = FunctionValue(lambda x: x)
+_TOO_DEEP = "function produced an invalid result: result exceeds nesting depth 64"
+
+
+@pytest.mark.parametrize(
+    "depth, leaf, message",
+    [
+        (100_000, 1, _TOO_DEEP),
+        # past the depth validation looks at, a function value is just depth
+        (70, _FUNCTION_LEAF, _TOO_DEEP),
+        (64, _FUNCTION_LEAF, "result contains a function value and cannot be serialized"),
+    ],
+    ids=["deep-list", "function-value-past-the-limit", "function-value-at-the-limit"],
+)
+def test_deep_function_results_answer_the_documented_500(bundle, depth, leaf, message):
+    bundle.machine.register_package("deep", {"nest": lambda x: _nested(depth, leaf)})
+    reply = Client(bundle.gateway).post("/lambda/deep/nest", json={"data": [0]})
+    assert reply == (500, {"message": message})
 
 
 def test_query_parse_errors_are_400_with_position(client):

@@ -1,4 +1,6 @@
 import math
+import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,3 +119,106 @@ def test_copy_equals_original(value):
 def test_float_round_trip_is_exact(x):
     decoded = loads_strict(canonical_json(x))
     assert decoded == x and math.copysign(1, decoded) == math.copysign(1, x)
+
+
+# --- the validator against a reference walk that makes one call per node
+
+
+def _reference_validate(value, budget, what):
+    if budget < 0:
+        raise InvalidValue(f"{what} exceeds nesting depth {MAX_DEPTH}")
+    if value is None or isinstance(value, (bool, str)):
+        return
+    if isinstance(value, (int, float)):
+        if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
+            raise InvalidValue(f"{what} contains a non-finite number")
+        return
+    if isinstance(value, list):
+        for item in value:
+            _reference_validate(item, budget - 1, what)
+        return
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise InvalidValue(f"{what} has a non-string object key: {key!r}")
+            _reference_validate(item, budget - 1, what)
+        return
+    raise InvalidValue(f"{what} contains a non-JSON type: {type(value).__name__}")
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+_GOOD_LEAVES = [
+    None, True, False, 0, -7, 2**70, 0.5, -0.0, 1e308, -1e308, "", "s",
+    _Level.LOW, _Name("n"), _Real(2.5),
+]
+_LEAVES = _GOOD_LEAVES + [
+    float("nan"), float("inf"), -float("inf"), _Real("nan"), (1, 2), b"bytes", object(),
+]
+_KEYS = ["a", "b", "c", "", _Name("k"), 1, None, (1,), _Level.LOW]
+
+
+def _random_value(rng, levels, leaves=_LEAVES, odd_keys=0.1):
+    roll = rng.random()
+    if levels == 0 or roll < 0.45:
+        return rng.choice(leaves)
+    children = [_random_value(rng, levels - 1, leaves, odd_keys) for _ in range(rng.randrange(5))]
+    if roll < 0.75:
+        return children
+    return {rng.choice(_KEYS) if rng.random() < odd_keys else rng.choice("abcdef"): child
+            for child in children}
+
+
+def _random_spine(rng):
+    """A chain 60-68 containers deep through lists and dicts, with siblings
+    that are mostly valid, so that the depth limit decides many cases."""
+    clean = rng.random() < 0.7
+    leaves, odd_keys = (_GOOD_LEAVES, 0.0) if clean else (_LEAVES, 0.1)
+    value = _random_value(rng, 2, leaves, odd_keys)
+    for _ in range(rng.randint(60, 68)):
+        siblings = [_random_value(rng, 2, leaves, odd_keys) for _ in range(rng.randrange(3))]
+        if rng.random() < 0.5:
+            siblings.insert(rng.randrange(len(siblings) + 1), value)
+            value = siblings
+        else:
+            value = {**{f"s{i}": s for i, s in enumerate(siblings)}, rng.choice("xyz"): value}
+    return value
+
+
+def _outcome(check, value, depth):
+    try:
+        check(value, depth, "thing")
+    except InvalidValue as exc:
+        return exc.message
+    return None
+
+
+def test_validate_value_matches_the_reference_walk():
+    rng = random.Random(20160)
+    cases = [_random_value(rng, 6) for _ in range(3000)]
+    cases += [_random_spine(rng) for _ in range(1000)]
+    outcomes = set()
+    for value in cases:
+        for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+            expected = _outcome(_reference_validate, value, depth)
+            got = _outcome(lambda v, d, what: validate_value(v, what=what, depth=d), value, depth)
+            assert got == expected, (value, depth)
+            outcomes.add(expected.split(":")[0] if expected else None)
+    # every kind of outcome was reached
+    assert outcomes == {
+        None,
+        f"thing exceeds nesting depth {MAX_DEPTH}",
+        "thing contains a non-finite number",
+        "thing has a non-string object key",
+        "thing contains a non-JSON type",
+    }
