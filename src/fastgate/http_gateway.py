@@ -291,7 +291,8 @@ class Gateway:
         Argument priority: JSON body object (its "data" key, else its free
         keys) > list or scalar body > "data" param > free query params.
         A "uri" control field overrides inline data with a fetched
-        resource.  The final payload passes through the template resolver.
+        resource.  The final payload passes through the template resolver;
+        a fetched one only when its stored text holds a template.
         """
         to_do = params.get("to_do") or "apply"
         uri = params.get("uri")
@@ -320,7 +321,7 @@ class Gateway:
                 }
                 data = free
         if uri is not None:
-            data = self.store.get_resource(uri)
+            return to_do, self.resolver.fetch(uri)
         return to_do, self.resolver.resolve(data)
 
     def _run_wire(self, ref: FunctionRef, to_do: str, payload: Value) -> Value:

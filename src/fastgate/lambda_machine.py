@@ -5,6 +5,13 @@ the same serialized result every time, so any two requests commute.  The
 four dispatch modes are apply, map, reduce and filter.  Map runs on the
 calling thread; fanning it out to map_workers > 1 threads is opt-in, and the
 server does not, since pure-Python bodies cannot run in parallel under the GIL.
+
+Every call goes through `bind_and_call`, and its checks are made once where
+they can be: a handle's array arity bounds are computed at registration, so
+an in-bounds array payload is spread straight into the function, and a
+result whose exact type is a finite float, an int, a str, a bool or None
+is returned without a walk.  Any other payload or result takes the full
+check, with the same errors and messages.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Optional
 
 from .errors import (
@@ -97,6 +105,9 @@ class FunctionHandle:
             p.kind == p.VAR_POSITIONAL for p in sig.parameters.values()
         )
         self.var_keyword = any(p.kind == p.VAR_KEYWORD for p in sig.parameters.values())
+        # the array lengths _check_binding accepts for a positional-only call
+        self.min_args = max(1, len(self.required))
+        self.max_args = float("inf") if self.var_positional else len(self.params)
 
     @property
     def label(self) -> str:
@@ -109,28 +120,36 @@ def _bind(target, payload: Value):
     Any other value is passed as a single positional argument.  `target`
     is a FunctionHandle or a FunctionValue; both carry `fn` and `label`.
     """
-    fn, label = target.fn, target.label
-    if isinstance(payload, list):
+    is_handle = isinstance(target, FunctionHandle)
+    if (
+        is_handle
+        and type(payload) is list
+        and target.min_args <= len(payload) <= target.max_args
+    ):
+        args, kwargs = payload, None  # a binding _check_binding would accept
+    elif isinstance(payload, list):
         args, kwargs = payload, {}
     elif isinstance(payload, dict):
         args, kwargs = [], payload
     else:
         args, kwargs = [payload], {}
-    if isinstance(target, FunctionHandle):
+    if is_handle and kwargs is not None:
         _check_binding(target, args, kwargs)
     try:
-        return fn(*args, **kwargs)
+        if kwargs is None:
+            return target.fn(*args)
+        return target.fn(*args, **kwargs)
     except FastError:
         raise
     except TypeError as exc:
-        if isinstance(target, FunctionHandle):
+        if is_handle:
             # binding was already checked, so this came from the function body
-            raise DomainError(f"{label}: {exc}") from None
-        raise ArityMismatch(f"{label}: {exc}") from None
+            raise DomainError(f"{target.label}: {exc}") from None
+        raise ArityMismatch(f"{target.label}: {exc}") from None
     except ZeroDivisionError:
-        raise DomainError(f"{label}: division by zero") from None
+        raise DomainError(f"{target.label}: division by zero") from None
     except (ValueError, ArithmeticError) as exc:
-        raise DomainError(f"{label}: {exc}") from None
+        raise DomainError(f"{target.label}: {exc}") from None
 
 
 def _check_binding(handle: FunctionHandle, args: list, kwargs: dict) -> None:
@@ -167,6 +186,12 @@ def _checked_result(result):
     it, so every other exit only has to test the top level.  A nested
     function value always fails validation, so it is looked for only then.
     """
+    kind = type(result)
+    if kind is float:
+        if isfinite(result):
+            return result
+    elif kind is int or kind is str or kind is bool or result is None:
+        return result
     if isinstance(result, FunctionValue):
         return result
     try:
@@ -289,17 +314,24 @@ class LambdaMachine:
     # --- combinators
 
     def _map(self, target, data: list) -> list:
-        def one(indexed):
-            index, element = indexed
-            try:
-                return self.bind_and_call(target, element)
-            except Exception as exc:
-                raise _element_error(exc, "map", index) from None
-
         if self.map_workers > 1 and len(data) > 1:
+            def one(indexed):
+                index, element = indexed
+                try:
+                    return self.bind_and_call(target, element)
+                except Exception as exc:
+                    raise _element_error(exc, "map", index) from None
+
             results = list(self._executor().map(one, enumerate(data)))
         else:
-            results = [one(pair) for pair in enumerate(data)]
+            call = self.bind_and_call
+            results = []
+            try:
+                for element in data:
+                    results.append(call(target, element))
+            except Exception as exc:
+                # the failing element is the one after the last result
+                raise _element_error(exc, "map", len(results)) from None
         # a function value is only meaningful as a whole result, never
         # as an array element nothing can consume
         if any(isinstance(r, FunctionValue) for r in results):

@@ -59,12 +59,15 @@ class ResourceStore:
 
     def get_resource(self, uri: str) -> Value:
         """Return a fresh copy of the stored value, or raise NotFound."""
+        return json.loads(self.get_text(uri))  # validated when it was posted
+
+    def get_text(self, uri: str) -> str:
+        """Return the stored canonical JSON text, or raise NotFound."""
         key = normalize_uri(uri)
         try:
-            text = self._entries[key]  # dict lookup is atomic
+            return self._entries[key]  # dict lookup is atomic
         except KeyError:
             raise NotFound(RESOURCE_NOT_FOUND) from None
-        return json.loads(text)  # validated when it was posted
 
     def post_resource(self, uri: str, value: Value) -> dict:
         """Create or replace the entry (upsert); returns a success status."""

@@ -10,10 +10,16 @@ Resolution runs innermost-first: templates inside a body are substituted
 before the body is parsed, and templates inside a fetched result are
 resolved in turn.  Every hop down such a chain consumes one unit of the
 depth budget, so reference cycles terminate with DepthExceeded.
+
+A stored value whose canonical text holds no "{{" is used as is, unwalked.
+That is exact: the text escapes no "{" (it is ASCII-only JSON, which spells
+only control and non-ASCII characters as escapes), JSON syntax never
+puts "{{" outside a string, and only a string holding "{{" can change.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from urllib.parse import parse_qsl, unquote
 
@@ -156,6 +162,17 @@ class TemplateResolver:
             # a budget larger than the interpreter's stack runs out of stack first
             raise DepthExceeded("template nesting is too deep to resolve") from None
 
+    def fetch(self, uri: str) -> Value:
+        """The value stored at `uri`, with its templates resolved."""
+        value, templated = self._load(uri)
+        return self.resolve(value) if templated else value
+
+    def _load(self, uri: str) -> tuple[Value, bool]:
+        """The stored value and whether its text holds "{{", from one read,
+        so a concurrent write cannot pair one value with another's answer."""
+        text = self.store.get_text(uri)  # percent-decodes during normalization
+        return json.loads(text), _OPEN in text
+
     def _walk(self, value: Value, depth: int) -> Value:
         if isinstance(value, str):
             return self._resolve_text(value, depth)
@@ -173,19 +190,19 @@ class TemplateResolver:
             only = spans[0]
             if not text[: only.start].strip() and not text[only.end :].strip():
                 # the leaf is exactly one template: substitute the typed value
-                result = self._dispatch(only.body, depth)
-                return self._walk(result, depth - 1)
+                return self._dispatch(only.body, depth)
         pieces = []
         cursor = 0
         for span in spans:
             pieces.append(_unescape(text[cursor : span.start]))
-            result = self._walk(self._dispatch(span.body, depth), depth - 1)
+            result = self._dispatch(span.body, depth)
             pieces.append(result if isinstance(result, str) else canonical_json(result))
             cursor = span.end
         pieces.append(_unescape(text[cursor:]))
         return "".join(pieces)
 
     def _dispatch(self, body: str, depth: int) -> Value:
+        """The typed value of one template body, its own templates resolved."""
         if depth < 1:
             raise DepthExceeded(
                 f"template nesting exceeds the depth limit of {self.depth_limit}"
@@ -198,8 +215,8 @@ class TemplateResolver:
             raise MalformedTemplate("template body did not resolve to text")
         ref = _parse_ref(resolved_body)
         if ref.kind == "rest":
-            # get_resource percent-decodes during normalization
-            return self.store.get_resource(ref.path)
+            value, templated = self._load(ref.path)
+            return self._walk(value, depth - 1) if templated else value
         handle = self._lookup(ref.path)
         args = {name: parse_scalar(raw) for name, raw in ref.args().items()}
         result = self.machine.bind_and_call(handle, args)
@@ -207,7 +224,7 @@ class TemplateResolver:
             raise UnserializableResult(
                 "template resolved to a function value, which cannot be spliced"
             )
-        return result
+        return self._walk(result, depth - 1)
 
     def _lookup(self, path: str):
         segments = [unquote(s) for s in path.split("/")[2:] if s]

@@ -11,6 +11,7 @@ from fastgate.config import Config
 from fastgate.errors import FastError
 from fastgate.http_gateway import WireRequest, WireResponse
 from fastgate.lambda_machine import FunctionValue
+from fastgate.template_resolver import TemplateResolver
 from fastgate.values import canonical_json
 
 from conftest import Client
@@ -299,6 +300,49 @@ def test_stored_objects_resolve_templates_in_key_order(client):
         client.post("/rest/args", json={"data": data})
         reply = client.get("/lambda/basic_arithmetic/add", query={"uri": "/rest/args"})
         assert reply == (404, {"message": "Resource not found"})
+
+
+def test_uri_payloads_resolve_only_their_templates(bundle, client):
+    bundle.machine.register_package("echo", {"same": lambda x: x})
+    client.post("/rest/a", json={"data": 5})
+    # a raw JSON body: the string itself is stored, not an unwrapped envelope
+    assert client.post("/rest/t", body=b'"{{/rest/a}}"') == (200, {"status": "success"})
+    client.post("/rest/e", json={"data": ["\\{{lit}}"]})
+    client.post("/rest/k", json={"data": [{"{{/rest/a}}": 1}]})
+    assert client.get("/lambda/echo/same", query={"uri": "/rest/t"}) == (200, 5)
+    assert client.post("/lambda/echo/same", json={"data": ["{{/rest/t}}"]}) == (200, 5)
+    assert client.get("/lambda/echo/same", query={"uri": "/rest/e"}) == (200, "{{lit}}")
+    assert client.get("/lambda/echo/same", query={"uri": "/rest/k"}) == (
+        200,
+        {"{{/rest/a}}": 1},
+    )
+
+
+def test_a_template_free_uri_payload_is_read_once_and_never_walked(bundle, client, monkeypatch):
+    book = [[90 + i % 20, 0.5 + i % 3, 100.0, 0.2] for i in range(1000)]
+    client.post("/rest/book", json={"data": book})
+    expected = client.post("/lambda/pricer/price", json={"to_do": "map", "data": book})[1]
+
+    class CountingEntries(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingEntries.reads += 1
+            return super().__getitem__(key)
+
+    walks = []
+    walk = TemplateResolver._walk
+
+    def counting_walk(self, value, depth):
+        walks.append(depth)
+        return walk(self, value, depth)
+
+    monkeypatch.setattr(bundle.store, "_entries", CountingEntries(bundle.store._entries))
+    monkeypatch.setattr(TemplateResolver, "_walk", counting_walk)
+    reply = client.get("/lambda/pricer/price", query={"uri": "/rest/book", "to_do": "map"})
+    assert reply == (200, expected)
+    assert CountingEntries.reads == 1
+    assert walks == []
 
 
 def test_template_malformed_maps_to_400(client):

@@ -1,15 +1,19 @@
+import copy
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastgate.builtin_packages import register_builtins
+from fastgate import lambda_machine
 from fastgate.errors import (
     AmbiguousFunction,
     ArityMismatch,
     DomainError,
     DuplicatePackage,
     EmptyReduce,
+    FastError,
     FunctionNotFound,
     InvalidValue,
     ModuleNotAvailable,
@@ -19,11 +23,16 @@ from fastgate.errors import (
     UnserializableResult,
 )
 from fastgate.lambda_machine import (
+    FunctionHandle,
     FunctionRef,
     FunctionValue,
     LambdaMachine,
     LambdaRequest,
+    _contains_function_value,
 )
+from fastgate.values import MAX_DEPTH, validate_value
+
+from test_values import _Level, _Name, _Real
 
 TEST_FUNCTIONS = {
     "is_positive": lambda x: x > 0,
@@ -242,3 +251,178 @@ def test_filter_matches_comprehension(values):
 def test_parallel_map_is_order_preserving(pairs):
     data = [[a, b] for a, b in pairs]
     assert _PAR.run(_ADD_PAR, "map", data) == _SEQ.run(_ADD, "map", data)
+
+
+# --- dispatch: the check-once fast paths against the full checks
+#
+# _reference_bind, _reference_check_binding and _reference_checked_result
+# are the engine's binding and result checks as they were before the fast
+# paths, kept verbatim apart from their names: every call must give the
+# same result, or the same exception type and message, on both.
+
+
+def _reference_bind(target, payload):
+    fn, label = target.fn, target.label
+    if isinstance(payload, list):
+        args, kwargs = payload, {}
+    elif isinstance(payload, dict):
+        args, kwargs = [], payload
+    else:
+        args, kwargs = [payload], {}
+    if isinstance(target, FunctionHandle):
+        _reference_check_binding(target, args, kwargs)
+    try:
+        return fn(*args, **kwargs)
+    except FastError:
+        raise
+    except TypeError as exc:
+        if isinstance(target, FunctionHandle):
+            # binding was already checked, so this came from the function body
+            raise DomainError(f"{label}: {exc}") from None
+        raise ArityMismatch(f"{label}: {exc}") from None
+    except ZeroDivisionError:
+        raise DomainError(f"{label}: division by zero") from None
+    except (ValueError, ArithmeticError) as exc:
+        raise DomainError(f"{label}: {exc}") from None
+
+
+def _reference_check_binding(handle, args, kwargs):
+    if args and not kwargs:
+        if handle.var_positional:
+            if len(args) < len(handle.required):
+                raise ArityMismatch(
+                    f"{handle.label} expects at least {len(handle.required)} "
+                    f"arguments, got {len(args)}"
+                )
+            return
+        if not (len(handle.required) <= len(args) <= len(handle.params)):
+            raise ArityMismatch(
+                f"{handle.label} expects {len(handle.params)} arguments, got {len(args)}"
+            )
+        return
+    if not handle.var_keyword:
+        unknown = sorted(set(kwargs) - set(handle.params))
+        if unknown:
+            raise UnknownParameter(
+                f"{handle.label} got unexpected parameter(s): {', '.join(unknown)}"
+            )
+    missing = sorted(set(handle.required) - set(kwargs))
+    if missing and not args:
+        raise ArityMismatch(
+            f"{handle.label} missing required parameter(s): {', '.join(missing)}"
+        )
+
+
+def _reference_checked_result(result):
+    if isinstance(result, FunctionValue):
+        return result
+    try:
+        validate_value(result, what="result")
+    except InvalidValue as exc:
+        if _contains_function_value(result, MAX_DEPTH):
+            raise UnserializableResult(
+                "result contains a function value and cannot be serialized"
+            ) from None
+        raise DomainError(f"function produced an invalid result: {exc.message}") from None
+    return result
+
+
+def _reference_call(target, payload):
+    return _reference_checked_result(_reference_bind(target, payload))
+
+
+_RESULT_FN = FunctionValue(lambda x: x, "identity")
+_BODY_OUTCOMES = [
+    1.5, -0.0, 1e308, float("nan"), float("inf"), -float("inf"), _Real(2.5), _Real("nan"),
+    0, 7, 2**70, True, False, None, "", "s", _Level.LOW, _Name("n"),
+    [1, 2.5], {"k": [None, "v"]}, [float("nan")], {"k": float("inf")}, (1, 2),
+    _RESULT_FN, [_RESULT_FN], {"k": [1, _RESULT_FN]},
+    TypeError("unsupported operand"), ZeroDivisionError("float division by zero"),
+    ValueError("math domain error"), OverflowError("math range error"),
+    DomainError("raised by the body"),
+]
+_RECEIVED = []  # the locals each generated function saw on entry
+
+
+def _random_target(rng, index):
+    """A function with a random signature whose body records its arguments
+    and returns or raises one of _BODY_OUTCOMES; a handle or a function value."""
+    parts = [f"r{i}" for i in range(rng.randrange(4))]
+    parts += [f"d{i}=-{i}" for i in range(rng.randrange(3))]
+    if rng.random() < 0.3:
+        parts.append("*rest")
+    if rng.random() < 0.3:
+        parts.append("**named")
+    outcome = rng.choice(_BODY_OUTCOMES)
+
+    def body(received):
+        _RECEIVED.append(received)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    namespace = {"_body": body}
+    exec(f"def f{index}({', '.join(parts)}):\n    return _body(dict(locals()))", namespace)
+    fn = namespace[f"f{index}"]
+    if rng.random() < 0.2:
+        return FunctionValue(fn, f"fn{index}")
+    return FunctionHandle("gen", f"f{index}", fn)
+
+
+def _random_payload(rng, target):
+    roll = rng.random()
+    if roll < 0.6:
+        return [rng.randrange(-9, 10) for _ in range(rng.randrange(7))]
+    if roll < 0.85:
+        names = getattr(target, "params", []) + ["r0", "d0", "zz", "rest", "named"]
+        return {name: rng.randrange(9) for name in rng.sample(names, rng.randrange(4))}
+    return rng.choice([3, -2.5, None, "s", True])
+
+
+def _call_outcome(call, target, payload):
+    _RECEIVED.clear()
+    try:
+        result = call(target, payload)
+    except Exception as exc:
+        return ("raise", type(exc), getattr(exc, "message", str(exc)), list(_RECEIVED))
+    return ("return", type(result), result, list(_RECEIVED))
+
+
+def _dispatch_differences(call, seed=8, cases=3000):
+    """(mismatching cases, outcome kinds seen) of `call` against the reference."""
+    rng = random.Random(seed)
+    mismatches, kinds = [], set()
+    for index in range(cases):
+        target = _random_target(rng, index)
+        payload = _random_payload(rng, target)
+        expected = _call_outcome(_reference_call, target, payload)
+        got = _call_outcome(call, target, payload)
+        if got != expected:
+            mismatches.append((target, payload, expected, got))
+        kinds.add(expected[1].__name__)
+    return mismatches, kinds
+
+
+def test_bind_and_call_matches_the_reference_checks():
+    mismatches, kinds = _dispatch_differences(LambdaMachine().bind_and_call)
+    assert mismatches == []
+    # every kind of outcome was reached
+    assert {
+        "float", "int", "bool", "str", "NoneType", "list", "dict", "FunctionValue",
+        "_Level", "_Name", "_Real",
+        "ArityMismatch", "UnknownParameter", "DomainError", "UnserializableResult",
+    } <= kinds
+
+
+def test_dispatch_differential_catches_a_broken_fast_path(monkeypatch):
+    machine = LambdaMachine()
+
+    def upper_bound_off_by_one(target, payload):
+        if isinstance(target, FunctionHandle):
+            target = copy.copy(target)
+            target.max_args += 1
+        return machine.bind_and_call(target, payload)
+
+    assert _dispatch_differences(upper_bound_off_by_one)[0]
+    monkeypatch.setattr(lambda_machine, "isfinite", lambda number: True)
+    assert _dispatch_differences(machine.bind_and_call)[0]

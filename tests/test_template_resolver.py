@@ -125,6 +125,18 @@ def test_escape_yields_literal_braces(env):
     assert resolver.resolve({"k": "\\{{x}}"}) == {"k": "{{x}}"}
 
 
+def test_spliced_stored_values_resolve_only_their_templates(env):
+    store, resolver = env
+    store.post_resource("/rest/a", 5)
+    store.post_resource("/rest/t", "{{/rest/a}}")  # a stored template still resolves
+    store.post_resource("/rest/e", ["\\{{lit}}", "}}"])  # an escape still unescapes
+    store.post_resource("/rest/k", {"{{/rest/a}}": 1})  # keys are never templates
+    assert resolver.resolve("{{/rest/t}}") == 5
+    assert resolver.resolve("x{{/rest/t}}") == "x5"
+    assert resolver.resolve("{{/rest/e}}") == ["{{lit}}", "}}"]
+    assert resolver.resolve({"v": "{{/rest/k}}"}) == {"v": {"{{/rest/a}}": 1}}
+
+
 def test_missing_resource_propagates(env):
     _, resolver = env
     with pytest.raises(NotFound):
