@@ -11,12 +11,7 @@ from .builtin_packages import available_packages, register_builtins
 from .config import AppBundle, Config, build_app, make_config
 from .errors import FastError
 from .http_gateway import Gateway, WireRequest, WireResponse
-from .lambda_machine import (
-    FunctionRef,
-    FunctionValue,
-    LambdaMachine,
-    LambdaRequest,
-)
+from .lambda_machine import FunctionRef, FunctionValue, LambdaMachine
 from .query_language import QueryEngine, format_query, parse
 from .rest_machine import ResourceStore, normalize_uri
 from .template_resolver import TemplateResolver, scan
@@ -32,7 +27,6 @@ __all__ = [
     "FunctionValue",
     "Gateway",
     "LambdaMachine",
-    "LambdaRequest",
     "QueryEngine",
     "ResourceStore",
     "TemplateResolver",

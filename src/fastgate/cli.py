@@ -15,7 +15,6 @@ import threading
 from contextlib import suppress
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import unquote
 
 import click
 import requests
@@ -88,7 +87,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         environ = {
             "REQUEST_METHOD": self.command,
-            "PATH_INFO": unquote(path, "iso-8859-1"),
+            # still percent-encoded: the gateway decodes a path once, as UTF-8
+            "PATH_INFO": path,
             "QUERY_STRING": query,
             # joined, so that duplicates fail the app's digits-only check
             "CONTENT_LENGTH": ",".join(self.headers.get_all("Content-Length", ())),

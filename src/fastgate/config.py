@@ -138,16 +138,9 @@ def build_app(config: Optional[Config] = None) -> AppBundle:
     store = ResourceStore(max_bytes=config.max_bytes)
     if config.store_path and os.path.exists(config.store_path):
         store.load(config.store_path)
-    machine = LambdaMachine()
+    machine = LambdaMachine(check_purity=config.check_purity)
     register_builtins(machine, config.packages)
     resolver = TemplateResolver(store, machine, config.depth_limit)
     engine = QueryEngine(machine, store)
-    gateway = Gateway(
-        store,
-        machine,
-        resolver,
-        engine,
-        max_bytes=config.max_bytes,
-        check_purity=config.check_purity,
-    )
+    gateway = Gateway(store, machine, resolver, engine, max_bytes=config.max_bytes)
     return AppBundle(config, store, machine, resolver, engine, gateway)

@@ -9,18 +9,20 @@ Routes:
 
 Everything speaks JSON.  Error bodies are {"message": ...} with status
 drawn from {400, 404, 405, 413, 422, 500}; 200 bodies are the bare result.
-The core handler is transport-free.  `wsgi_app` is its one transport
-adapter: it frames the body strictly by Content-Length and asks the
+The core handler is transport-free.  It percent-decodes the request path
+once, as UTF-8, so the allow hook, the router and the store see one form.
+`wsgi_app` is its one transport adapter: it takes PATH_INFO still
+percent-encoded, frames the body strictly by Content-Length and asks the
 server to close the connection when it leaves a body unread.
 `cli.GatewayServer` serves it over HTTP/1.1 with persistent connections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.client import responses as _REASONS
 from typing import Callable, Optional
-from urllib.parse import parse_qsl
+from urllib.parse import parse_qsl, unquote
 
 from .errors import (
     BadRequest,
@@ -30,8 +32,8 @@ from .errors import (
     PayloadTooLarge,
     UnserializableResult,
 )
-from .lambda_machine import FunctionRef, FunctionValue, LambdaRequest
-from .rest_machine import DEFAULT_MAX_BYTES
+from .lambda_machine import FunctionRef, FunctionValue
+from .rest_machine import DEFAULT_MAX_BYTES, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
 RESERVED_PARAMS = frozenset(
@@ -72,7 +74,6 @@ class Gateway:
         resolver,
         engine,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        check_purity: bool = False,
         allow: Optional[Callable[[str, str], bool]] = None,
     ):
         self.store = store
@@ -80,7 +81,6 @@ class Gateway:
         self.resolver = resolver
         self.engine = engine
         self.max_bytes = max_bytes
-        self.check_purity = check_purity
         self.allow = allow
 
     # --- entry points
@@ -89,6 +89,8 @@ class Gateway:
         try:
             if req.body is not None and len(req.body) > self.max_bytes:
                 raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
+            if "%" in req.path:  # decoded once, so allow, router and store agree
+                req = replace(req, path=unquote(req.path))
             if self.allow is not None and not self.allow(req.method, req.path):
                 raise NotFound("Not found")
             return WireResponse(200, self._route(req))
@@ -232,7 +234,7 @@ class Gateway:
             result = self._run_wire(FunctionRef(module, segments[1]), to_do, payload)
         if to_uri is None:
             return result
-        self.store.post_resource(to_uri, result)
+        self.store.post_resource(normalize_uri(to_uri), result)
         return {"status": "success", "to_uri": to_uri}
 
     def handle_query(self, req: WireRequest) -> Value:
@@ -325,11 +327,7 @@ class Gateway:
         return to_do, self.resolver.resolve(data)
 
     def _run_wire(self, ref: FunctionRef, to_do: str, payload: Value) -> Value:
-        request = LambdaRequest(ref, to_do, data=payload)
-        if self.check_purity:
-            result = self.machine.invoke_checked(request)
-        else:
-            result = self.machine.invoke(request)
+        result = self.machine.invoke(ref, to_do, payload)
         if isinstance(result, FunctionValue):
             raise UnserializableResult(
                 "the result is a function value and cannot be returned over the wire"

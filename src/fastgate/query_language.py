@@ -32,6 +32,7 @@ from typing import Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import FunctionRef, FunctionValue
+from .rest_machine import normalize_uri
 from .values import MAX_DEPTH, Value, validate_value
 
 KEYWORDS = frozenset(
@@ -385,7 +386,7 @@ class QueryEngine:
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ResourceRef):
-            return self.store.get_resource(expr.uri)
+            return self.store.get_resource(normalize_uri(expr.uri))
         if isinstance(expr, SimpleCall):
             handle = self.machine.resolve_unique(expr.function)
             return self.machine.bind_and_call(handle, dict(expr.bindings))
@@ -397,7 +398,7 @@ class QueryEngine:
                 raise UnserializableResult(
                     "cannot post a function value to a resource"
                 )
-            return self.store.post_resource(expr.target, value)
+            return self.store.post_resource(normalize_uri(expr.target), value)
         raise TypeError(f"not a query expression: {expr!r}")
 
     def _eval_comb(self, expr: CombExpr, module_ctx: Optional[str]):

@@ -28,29 +28,32 @@ RESOURCE_NOT_FOUND = "Resource not found"
 
 
 def normalize_uri(path: str) -> str:
-    """Validate and normalize a resource URI.
+    """Percent-decode resource URI text once, as UTF-8, and check the key."""
+    if isinstance(path, str):
+        path = urllib.parse.unquote(path)
+    return check_key(path)
 
-    Must start with /rest/, be percent-decoded, carry no query string,
-    no template braces, and no empty segments.
-    """
-    if not isinstance(path, str):
-        raise InvalidUri(f"resource URI must be a string, got {type(path).__name__}")
-    decoded = urllib.parse.unquote(path)
-    if "?" in decoded:
-        raise InvalidUri(f"resource URI may not contain a query string: {decoded}")
+
+def check_key(key: str) -> str:
+    """Check a decoded resource URI, the form that keys the store: under
+    /rest/, with no query string, template braces or empty segments."""
+    if not isinstance(key, str):
+        raise InvalidUri(f"resource URI must be a string, got {type(key).__name__}")
+    if "?" in key:
+        raise InvalidUri(f"resource URI may not contain a query string: {key}")
     # single braces too: they are reserved for templates and invalid in URIs
-    if "{" in decoded or "}" in decoded:
-        raise InvalidUri(f"resource URI may not contain template braces: {decoded}")
-    if not decoded.startswith("/rest/"):
-        raise InvalidUri(f"resource URI must start with /rest/: {decoded}")
-    segments = decoded[len("/rest/"):].split("/")
+    if "{" in key or "}" in key:
+        raise InvalidUri(f"resource URI may not contain template braces: {key}")
+    if not key.startswith("/rest/"):
+        raise InvalidUri(f"resource URI must start with /rest/: {key}")
+    segments = key[len("/rest/"):].split("/")
     if any(seg == "" for seg in segments):
-        raise InvalidUri(f"resource URI may not contain empty segments: {decoded}")
-    return decoded
+        raise InvalidUri(f"resource URI may not contain empty segments: {key}")
+    return key
 
 
 class ResourceStore:
-    """Associative URI -> canonical JSON text, with per-URI linearizability."""
+    """Decoded URI (`check_key`) -> canonical JSON text, per-URI linearizable."""
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
@@ -63,7 +66,7 @@ class ResourceStore:
 
     def get_text(self, uri: str) -> str:
         """Return the stored canonical JSON text, or raise NotFound."""
-        key = normalize_uri(uri)
+        key = check_key(uri)
         try:
             return self._entries[key]  # dict lookup is atomic
         except KeyError:
@@ -71,7 +74,7 @@ class ResourceStore:
 
     def post_resource(self, uri: str, value: Value) -> dict:
         """Create or replace the entry (upsert); returns a success status."""
-        key = normalize_uri(uri)
+        key = check_key(uri)
         validate_value(value)
         text = canonical_json(value)  # ASCII, so its length is its size in bytes
         if len(text) > self.max_bytes:
@@ -81,7 +84,7 @@ class ResourceStore:
         return dict(SUCCESS)
 
     def delete_resource(self, uri: str) -> dict:
-        key = normalize_uri(uri)
+        key = check_key(uri)
         with self._lock:
             if key not in self._entries:
                 raise NotFound(RESOURCE_NOT_FOUND)
@@ -90,7 +93,7 @@ class ResourceStore:
 
     def list_children(self, uri: str) -> list[str]:
         """All stored URIs strictly below `uri` at a segment boundary, sorted."""
-        prefix = normalize_uri(uri) + "/"
+        prefix = check_key(uri) + "/"
         with self._lock:
             keys = list(self._entries)
         return sorted(k for k in keys if k.startswith(prefix))
@@ -131,6 +134,6 @@ class ResourceStore:
         data = loads_strict(raw, what=f"store file {path}", depth=MAX_DEPTH + 1)
         if not isinstance(data, dict):
             raise InvalidUri(f"store file {path} must hold a JSON object keyed by URI")
-        entries = {normalize_uri(uri): canonical_json(value) for uri, value in data.items()}
+        entries = {check_key(uri): canonical_json(value) for uri, value in data.items()}
         with self._lock:
             self._entries = entries

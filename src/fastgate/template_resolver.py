@@ -25,6 +25,7 @@ from urllib.parse import parse_qsl, unquote
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
 from .lambda_machine import FunctionRef, FunctionValue
+from .rest_machine import normalize_uri
 from .values import Value, canonical_json, parse_scalar
 
 DEFAULT_DEPTH_LIMIT = 8
@@ -170,7 +171,7 @@ class TemplateResolver:
     def _load(self, uri: str) -> tuple[Value, bool]:
         """The stored value and whether its text holds "{{", from one read,
         so a concurrent write cannot pair one value with another's answer."""
-        text = self.store.get_text(uri)  # percent-decodes during normalization
+        text = self.store.get_text(normalize_uri(uri))
         return json.loads(text), _OPEN in text
 
     def _walk(self, value: Value, depth: int) -> Value:

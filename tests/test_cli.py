@@ -471,6 +471,57 @@ def test_malformed_request_line_answers_json(live_server):
     assert json.loads(body) == {"message": "Bad request syntax ('NONSENSE')"}
 
 
+def _exchange(conn, method, path, value=None):
+    body = None if value is None else json.dumps(value)
+    conn.request(method, path, body, {"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def test_a_percent_encoded_path_names_the_same_resource_everywhere(live_server):
+    url, _ = live_server
+    conn = http.client.HTTPConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
+    add = "/lambda/basic_arithmetic/add"
+    try:
+        assert _exchange(conn, "POST", "/rest/caf%C3%A9", [1, 2]) == (200, {"status": "success"})
+        # a query, a template splice and a uri argument all name it as text
+        assert _exchange(conn, "POST", "/query", {"q": "Get /rest/café"}) == (200, [1, 2])
+        assert _exchange(conn, "POST", add, {"data": "{{/rest/café}}"}) == (200, 3)
+        assert _exchange(conn, "POST", add, {"uri": "/rest/café"}) == (200, 3)
+        assert _exchange(conn, "GET", add + "?uri=/rest/caf%C3%A9") == (200, 3)
+        # and a query's write is found by the wire path that encodes it
+        assert _exchange(conn, "POST", "/query", {"q": "Post 5 to /rest/na%C3%AFve"}) == (
+            200,
+            {"status": "success"},
+        )
+        assert _exchange(conn, "GET", "/rest/na%C3%AFve") == (200, 5)
+        assert _exchange(conn, "GET", "/rest/na%C3%AFve?children=true") == (200, [])
+        # function path segments decode too
+        assert _exchange(conn, "GET", "/lambda/basic_%61rithmetic/add?a=1&b=2") == (200, 3)
+    finally:
+        conn.close()
+
+
+def test_a_path_is_decoded_once_for_the_allow_hook_and_the_store():
+    app = build_app()
+    app.gateway.allow = lambda method, path: not path.startswith("/rest/private/")
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    conn = http.client.HTTPConnection(*server.server_address, timeout=SOCKET_TIMEOUT_S)
+    try:
+        denied = (404, {"message": "Not found"})
+        assert _exchange(conn, "POST", "/rest/private/x", 1) == denied
+        assert _exchange(conn, "POST", "/rest/private%2Fx", 1) == denied
+        # %25 decodes to a literal percent sign, which names another resource
+        assert _exchange(conn, "POST", "/rest/private%252Fx", 2) == (200, {"status": "success"})
+        assert json.loads(app.store.canonical_dump()) == {"/rest/private%2Fx": 2}
+        assert _exchange(conn, "GET", "/rest/private%252Fx") == (200, 2)
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize(
     "sent",
     [b"", b"POST /rest/stall HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n[1,"],

@@ -711,6 +711,35 @@ def test_purity_checked_gateway_rejects_impure_functions():
             500,
             {"message": "the result is a function value and cannot be returned over the wire"},
         )
+        differing = "purity check failed: impure_pkg.bump returned differing results"
+        # queries, map elements and template splices are checked too
+        assert client.post("/query", json={"q": "Apply bump from impure_pkg on 1"}) == (
+            500,
+            {"message": differing},
+        )
+        assert client.post("/query", json={"q": "Map bump from impure_pkg on [1,2]"}) == (
+            500,
+            {"message": "map element 0: " + differing},
+        )
+        spliced = {"data": ["{{/lambda/impure_pkg/bump?x=1}}", 1]}
+        assert client.post("/lambda/basic_arithmetic/add", json=spliced) == (
+            500,
+            {"message": differing},
+        )
+
+        def mut(d):
+            d["seen"] = True
+            return d.get("x", 0)
+
+        # the same result twice, but the first call wrote into its argument
+        app.machine.register_package("mutating_pkg", {"mut": mut})
+        assert client.post("/lambda/mutating_pkg/mut", json={"data": {"d": {"x": 3}}}) == (
+            500,
+            {"message": "purity check failed: mutating_pkg.mut changed its input"},
+        )
+        # higher-order calls still work under the check
+        query = "Get Apply (Apply add on 2) from higher_order_arithmetic on 3"
+        assert client.post("/query", json={"q": query}) == (200, 5)
     finally:
         app.machine.close()
 

@@ -27,7 +27,6 @@ from fastgate.lambda_machine import (
     FunctionRef,
     FunctionValue,
     LambdaMachine,
-    LambdaRequest,
     _contains_function_value,
 )
 from fastgate.values import MAX_DEPTH, validate_value
@@ -170,30 +169,38 @@ def test_nonfinite_results_are_domain_errors(machine):
 
 def test_bad_combinator_rejected(machine):
     with pytest.raises(InvalidValue):
-        LambdaRequest(FunctionRef("basic_arithmetic", "add"), "bogus")
+        machine.invoke(FunctionRef("basic_arithmetic", "add"), "bogus", [1, 2])
     add = machine.lookup(FunctionRef("basic_arithmetic", "add"))
     with pytest.raises(InvalidValue):
         machine.run(add, "bogus", [1, 2])
+    # the mode is checked before the data's shape
+    with pytest.raises(InvalidValue) as caught:
+        machine.run(add, "bogus", 3)
+    assert caught.value.http_status == 400
 
 
 def test_invoke_with_resource_source(machine):
     # the gateway fetches a `uri` source itself and passes the value inline
-    request = LambdaRequest(
-        FunctionRef("basic_arithmetic", "add"), "map", data=[[1, 2], [3, 4]]
-    )
-    assert machine.invoke(request) == [3, 7]
+    add = FunctionRef("basic_arithmetic", "add")
+    assert machine.invoke(add, "map", [[1, 2], [3, 4]]) == [3, 7]
 
 
 def test_purity_verification(machine):
-    request = LambdaRequest(FunctionRef("basic_arithmetic", "add"), "map", data=[[1, 2]])
-    assert machine.invoke_checked(request) == machine.invoke(request) == [3]
-    curried = LambdaRequest(FunctionRef("higher_order_arithmetic", "add"), data=[2])
+    checked = LambdaMachine(check_purity=True)
+    register_builtins(checked)
+    add = FunctionRef("basic_arithmetic", "add")
+    assert checked.invoke(add, "map", [[1, 2]]) == machine.invoke(add, "map", [[1, 2]]) == [3]
+    curried = FunctionRef("higher_order_arithmetic", "add")
     # two function values compare equal; the caller's exit guard rejects them
-    assert isinstance(machine.invoke_checked(curried), FunctionValue)
+    assert isinstance(checked.invoke(curried, "apply", [2]), FunctionValue)
+    # an input holding a function value has no text, so both calls get it as is
+    checked.register_package("takes_fn", {"at_one": lambda f: f.fn(1)})
+    at_one = checked.lookup(FunctionRef("takes_fn", "at_one"))
+    assert checked.run(at_one, "apply", checked.invoke(curried, "apply", [2])) == 3
 
 
 def test_purity_check_catches_impure_functions():
-    machine = LambdaMachine()
+    machine = LambdaMachine(check_purity=True)
     ticks = {"n": 0}
 
     def impure():
@@ -204,13 +211,25 @@ def test_purity_check_catches_impure_functions():
         ticks["n"] += 1
         return FunctionValue(impure) if ticks["n"] % 2 else ticks["n"]
 
+    def mutates(d):
+        d["seen"] = True
+        return d.get("x", 0)
+
     machine.register_package(
-        "impure_pkg", {"tick": impure, "sometimes_a_function": sometimes_a_function}
+        "impure_pkg",
+        {"tick": impure, "sometimes_a_function": sometimes_a_function, "mutates": mutates},
     )
     for name in ("tick", "sometimes_a_function"):
-        request = LambdaRequest(FunctionRef("impure_pkg", name), "apply", data={})
         with pytest.raises(PurityViolation):
-            machine.invoke_checked(request)
+            machine.invoke(FunctionRef("impure_pkg", name), "apply", {})
+    # the same result twice, but the first call wrote into its argument
+    payload = {"d": {"x": 3}}
+    with pytest.raises(PurityViolation, match="impure_pkg.mutates changed its input"):
+        machine.invoke(FunctionRef("impure_pkg", "mutates"), "apply", payload)
+    # every element of a combinator is checked, not only the whole call
+    tick = machine.lookup(FunctionRef("impure_pkg", "tick"))
+    with pytest.raises(PurityViolation, match="^map element 0: purity check failed"):
+        machine.run(tick, "map", [[], []])
     machine.close()
 
 

@@ -105,6 +105,20 @@ def test_save_load_round_trip(tmp_path):
     assert fresh.get_resource("/rest/café/ñ")["zeta"] == 'naïve ☃ "q"\n\t\ud800'
 
 
+def test_store_keys_are_decoded_uris_kept_as_given(tmp_path):
+    store = ResourceStore()
+    # the key a request path of /rest/100%2525 decodes to, once
+    store.post_resource("/rest/100%25", 1)
+    assert store.get_resource("/rest/100%25") == 1
+    with pytest.raises(NotFound):
+        store.get_resource("/rest/100%")
+    path = tmp_path / "store.json"
+    store.save(str(path))
+    fresh = ResourceStore()
+    fresh.load(str(path))  # a saved key is not decoded a second time
+    assert fresh.get_resource("/rest/100%25") == 1
+
+
 # saved before the store kept canonical text, with that release's save()
 EARLIER_STORE_FILE = (
     '{"/rest/a b":"{{/rest/book}}","/rest/book":[[100,1,20.5,0.2],'
