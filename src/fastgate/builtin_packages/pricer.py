@@ -1,6 +1,17 @@
 """European call pricing with zero rates and dividends, plus Greeks.
 
 All functions are pure: same inputs, same outputs, no state anywhere.
+
+`price`, `delta`, `gamma` and `vega` share one fused kernel that checks a
+parameter set and computes sqrt(time), d1 and d2 once.  Four exact floats
+with 0 < strike, spot < inf, 0 < time <= MAX_TIME and 0 < vol <= VOL_HI
+skip the per-argument checks, since those would pass them unchanged; every
+other input takes the checks, so its error and message are as before.  The
+results are bit for bit those of the unfused formulas: each operation is
+the same, applied in the same order, and sqrt(2) and sqrt(2*pi) are
+module constants computed as the formulas computed them.  `get_value`
+calls `price`, and `implied_vol` hoists the vol-free terms out of its
+bisection without changing an operation.
 """
 
 from __future__ import annotations
@@ -15,14 +26,12 @@ MAX_TIME = 100.0
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
 
-
-def _norm_cdf(x: float) -> float:
-    # erfc keeps full double precision in the tails
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+_INF = math.inf
+# N(x) = erfc(-x/sqrt(2))/2: erfc keeps full double precision in the tails
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# bound once: a module attribute lookup is a measurable share of one call
+_erfc, _exp, _log, _sqrt = math.erfc, math.exp, math.log, math.sqrt
 
 
 def _require_number(name: str, x) -> float:
@@ -47,38 +56,46 @@ def _check_params(strike, time, spot, vol) -> tuple[float, float, float, float]:
     return strike, time, spot, vol
 
 
-def _d1_d2(strike, time, spot, vol):
-    sqrt_t = math.sqrt(time)
-    d1 = (math.log(spot / strike) + 0.5 * vol * vol * time) / (vol * sqrt_t)
-    return d1, d1 - vol * sqrt_t
+def _kernel(strike, time, spot, vol):
+    """Checked parameters plus (sqrt(time), d1, d2) for one parameter set.
+
+    Four exact floats already inside the domain skip `_check_params`, which
+    would return them unchanged; anything else takes it, errors and all.
+    """
+    if not (
+        type(strike) is float and type(time) is float
+        and type(spot) is float and type(vol) is float
+        and 0.0 < strike < _INF and 0.0 < spot < _INF
+        and 0.0 < time <= MAX_TIME and 0.0 < vol <= VOL_HI
+    ):
+        strike, time, spot, vol = _check_params(strike, time, spot, vol)
+    sqrt_t = _sqrt(time)
+    d1 = (_log(spot / strike) + 0.5 * vol * vol * time) / (vol * sqrt_t)
+    return strike, time, spot, vol, sqrt_t, d1, d1 - vol * sqrt_t
 
 
 def price(strike, time, spot, vol):
     """Call value: spot*N(d1) - strike*N(d2)."""
-    strike, time, spot, vol = _check_params(strike, time, spot, vol)
-    d1, d2 = _d1_d2(strike, time, spot, vol)
-    return spot * _norm_cdf(d1) - strike * _norm_cdf(d2)
+    strike, _, spot, _, _, d1, d2 = _kernel(strike, time, spot, vol)
+    return spot * (0.5 * _erfc(-d1 / _SQRT2)) - strike * (0.5 * _erfc(-d2 / _SQRT2))
 
 
 def delta(strike, time, spot, vol):
     """Sensitivity to spot: N(d1)."""
-    strike, time, spot, vol = _check_params(strike, time, spot, vol)
-    d1, _ = _d1_d2(strike, time, spot, vol)
-    return _norm_cdf(d1)
+    d1 = _kernel(strike, time, spot, vol)[5]
+    return 0.5 * _erfc(-d1 / _SQRT2)
 
 
 def gamma(strike, time, spot, vol):
     """Second sensitivity to spot: n(d1) / (spot * vol * sqrt(time))."""
-    strike, time, spot, vol = _check_params(strike, time, spot, vol)
-    d1, _ = _d1_d2(strike, time, spot, vol)
-    return _norm_pdf(d1) / (spot * vol * math.sqrt(time))
+    _, _, spot, vol, sqrt_t, d1, _ = _kernel(strike, time, spot, vol)
+    return _exp(-0.5 * d1 * d1) / _SQRT_2PI / (spot * vol * sqrt_t)
 
 
 def vega(strike, time, spot, vol):
     """Sensitivity to volatility: spot * n(d1) * sqrt(time)."""
-    strike, time, spot, vol = _check_params(strike, time, spot, vol)
-    d1, _ = _d1_d2(strike, time, spot, vol)
-    return spot * _norm_pdf(d1) * math.sqrt(time)
+    _, _, spot, _, sqrt_t, d1, _ = _kernel(strike, time, spot, vol)
+    return spot * (_exp(-0.5 * d1 * d1) / _SQRT_2PI) * sqrt_t
 
 
 def implied_vol(strike, time, spot, price):
@@ -101,9 +118,14 @@ def implied_vol(strike, time, spot, price):
             f"({intrinsic} < price < {spot})"
         )
 
+    # the kernel's arithmetic, with what does not depend on vol taken out
+    sqrt_t = _sqrt(time)
+    log_moneyness = _log(spot / strike)
+
     def value_at(vol: float) -> float:
-        d1, d2 = _d1_d2(strike, time, spot, vol)
-        return spot * _norm_cdf(d1) - strike * _norm_cdf(d2)
+        d1 = (log_moneyness + 0.5 * vol * vol * time) / (vol * sqrt_t)
+        d2 = d1 - vol * sqrt_t
+        return spot * (0.5 * _erfc(-d1 / _SQRT2)) - strike * (0.5 * _erfc(-d2 / _SQRT2))
 
     lo, hi = VOL_LO, VOL_HI
     if value_at(lo) > target or value_at(hi) < target:

@@ -56,7 +56,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     `Connection: close`, the request is not HTTP/1.1, the app answers
     `Connection: close` because it left the body unread, or the client
     stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an
-    unknown one gets the app's 405, not a 501.
+    unknown one gets the app's 405, not a 501.  A request target holding a
+    byte outside ASCII never does: it gets a 400, and the connection closes.
     """
 
     protocol_version = "HTTP/1.1"
@@ -78,7 +79,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
             elif not self.raw_requestline:
                 self.close_connection = True
-            elif self.parse_request():
+            elif not self.parse_request():
+                pass  # parse_request has sent its own error reply
+            elif not self.path.isascii():
+                # http.server decodes the line as ISO-8859-1; RFC 9112 allows only ASCII
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "request target must be ASCII; percent-encode other bytes",
+                )
+            else:
                 self._call_app()
         except TimeoutError:  # the client went silent: drop it without a reply
             self.close_connection = True

@@ -6,12 +6,20 @@ four dispatch modes are apply, map, reduce and filter.  Map runs on the
 calling thread; fanning it out to map_workers > 1 threads is opt-in, and the
 server does not, since pure-Python bodies cannot run in parallel under the GIL.
 
-Every call goes through `bind_and_call`, and its checks are made once where
-they can be: a handle's array arity bounds are computed at registration, so
-an in-bounds array payload is spread straight into the function, and a
-result whose exact type is a finite float, an int, a str, a bool or None
-is returned without a walk.  Any other payload or result takes the full
+Every single call goes through `bind_and_call`, and its checks are made
+once where they can be: a handle's array arity bounds are computed at
+registration, so an in-bounds array payload is spread straight into the
+function, and a result whose exact type is a finite float, an int, a str,
+a bool or None is returned without a walk.  Any other payload or result takes the full
 check, with the same errors and messages.
+
+A map, reduce or filter does its per-target work once per call, not once
+per element: it looks up the function, its arity bounds and the purity
+flag before the element loop, and spreads each in-bounds array element
+straight into the function, with the same body-error mapping and result
+check that `bind_and_call` makes.  Any other element, every element of a
+function value, and every element under check_purity go through
+`bind_and_call`.
 
 With check_purity set, `bind_and_call` tests purity on every call, from any
 route or combinator: it calls on the input, then on a parse of the input's
@@ -130,17 +138,23 @@ def _bind(target, payload: Value):
         if kwargs is None:
             return target.fn(*args)
         return target.fn(*args, **kwargs)
-    except FastError:
-        raise
-    except TypeError as exc:
-        if is_handle:
-            # binding was already checked, so this came from the function body
-            raise DomainError(f"{target.label}: {exc}") from None
-        raise ArityMismatch(f"{target.label}: {exc}") from None
-    except ZeroDivisionError:
-        raise DomainError(f"{target.label}: division by zero") from None
-    except (ValueError, ArithmeticError) as exc:
-        raise DomainError(f"{target.label}: {exc}") from None
+    except _BODY_ERRORS as exc:
+        raise _body_error(target, exc) from None
+
+
+# what a function body may raise that becomes a gateway error
+_BODY_ERRORS = (TypeError, ValueError, ArithmeticError)
+
+
+def _body_error(target, exc: Exception) -> FastError:
+    """The gateway error for an exception in _BODY_ERRORS raised by a call of `target`."""
+    if isinstance(exc, TypeError):
+        # a handle's binding was already checked, so this came from its body
+        kind = DomainError if isinstance(target, FunctionHandle) else ArityMismatch
+        return kind(f"{target.label}: {exc}")
+    if isinstance(exc, ZeroDivisionError):
+        return DomainError(f"{target.label}: division by zero")
+    return DomainError(f"{target.label}: {exc}")
 
 
 def _check_binding(handle: FunctionHandle, args: list, kwargs: dict) -> None:
@@ -314,6 +328,12 @@ class LambdaMachine:
 
     # --- combinators
 
+    def _spread_lengths(self, target) -> tuple:
+        """The (lowest, highest) array length spread straight into target.fn."""
+        if self.check_purity or not isinstance(target, FunctionHandle):
+            return 1, 0  # none: every element goes through bind_and_call
+        return target.min_args, target.max_args
+
     def _map(self, target, data: list) -> list:
         if self.map_workers > 1 and len(data) > 1:
             def one(indexed):
@@ -324,45 +344,79 @@ class LambdaMachine:
                     raise _element_error(exc, "map", index) from None
 
             results = list(self._executor().map(one, enumerate(data)))
+            functions = any(isinstance(r, FunctionValue) for r in results)
         else:
-            call = self.bind_and_call
-            results = []
+            fn, call = target.fn, self.bind_and_call
+            low, high = self._spread_lengths(target)
+            results, functions = [], False
             try:
                 for element in data:
-                    results.append(call(target, element))
+                    if type(element) is list and low <= len(element) <= high:
+                        try:
+                            result = fn(*element)
+                        except _BODY_ERRORS as exc:
+                            raise _body_error(target, exc) from None
+                        if type(result) is not float or not isfinite(result):
+                            result = _checked_result(result)
+                            functions = functions or isinstance(result, FunctionValue)
+                    else:
+                        result = call(target, element)
+                        functions = functions or isinstance(result, FunctionValue)
+                    results.append(result)
             except Exception as exc:
                 # the failing element is the one after the last result
                 raise _element_error(exc, "map", len(results)) from None
         # a function value is only meaningful as a whole result, never
         # as an array element nothing can consume
-        if any(isinstance(r, FunctionValue) for r in results):
+        if functions:
             raise UnserializableResult("map produced function values")
         return results
 
     def _reduce(self, target, data: list):
         if not data:
             raise EmptyReduce("reduce of empty array")
+        fn, call = target.fn, self.bind_and_call
+        low, high = self._spread_lengths(target)
+        spread = low <= 2 <= high
         accumulator = data[0]
-        for index, element in enumerate(data[1:], start=1):
-            try:
-                accumulator = self.bind_and_call(target, [accumulator, element])
-            except Exception as exc:
-                raise _element_error(exc, "reduce", index) from None
+        try:
+            for index in range(1, len(data)):
+                if spread:
+                    try:
+                        accumulator = fn(accumulator, data[index])
+                    except _BODY_ERRORS as exc:
+                        raise _body_error(target, exc) from None
+                    if type(accumulator) is not float or not isfinite(accumulator):
+                        accumulator = _checked_result(accumulator)
+                else:
+                    accumulator = call(target, [accumulator, data[index]])
+        except Exception as exc:
+            raise _element_error(exc, "reduce", index) from None
         return _checked_result(accumulator)
 
     def _filter(self, target, data: list) -> list:
+        fn, call = target.fn, self.bind_and_call
+        low, high = self._spread_lengths(target)
         kept = []
-        for index, element in enumerate(data):
-            try:
-                verdict = self.bind_and_call(target, element)
-                if not isinstance(verdict, bool):
+        try:
+            for index, element in enumerate(data):
+                if type(element) is list and low <= len(element) <= high:
+                    try:
+                        verdict = fn(*element)
+                    except _BODY_ERRORS as exc:
+                        raise _body_error(target, exc) from None
+                    if type(verdict) is not bool:
+                        verdict = _checked_result(verdict)
+                else:
+                    verdict = call(target, element)
+                if verdict is True:
+                    kept.append(element)
+                elif verdict is not False:
                     raise DomainError(
                         f"filter predicate must return a boolean, got {verdict!r}"
                     )
-            except Exception as exc:
-                raise _element_error(exc, "filter", index) from None
-            if verdict:
-                kept.append(element)
+        except Exception as exc:
+            raise _element_error(exc, "filter", index) from None
         return kept
 
     def _executor(self) -> ThreadPoolExecutor:

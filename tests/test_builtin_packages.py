@@ -16,6 +16,8 @@ from fastgate.builtin_packages import (
 from fastgate.errors import DomainError, ModuleNotAvailable, NoSolution
 from fastgate.lambda_machine import FunctionValue, LambdaMachine
 
+from test_values import _Real
+
 # --- registry surface
 
 
@@ -355,3 +357,271 @@ def test_delta_lies_in_unit_interval(strike, time, spot, vol):
     assert 0.0 <= d <= 1.0
     assert pricer.gamma(strike, time, spot, vol) >= 0.0
     assert pricer.vega(strike, time, spot, vol) >= 0.0
+
+
+# --- fused kernels against the unfused code they replace
+#
+# The _prior_* functions are the pricer and arithmetic bodies as they were
+# before the fused kernels, kept verbatim apart from their names: every
+# input must give the same repr of the result, or the same exception type
+# and message, on both.
+
+VOL_LO, VOL_HI, MAX_TIME = pricer.VOL_LO, pricer.VOL_HI, pricer.MAX_TIME
+BISECT_TOL, BISECT_MAX_ITER = pricer.BISECT_TOL, pricer.BISECT_MAX_ITER
+
+
+def _prior_norm_cdf(x: float) -> float:
+    # erfc keeps full double precision in the tails
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _prior_norm_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _prior_require_number(name: str, x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DomainError(f"{name} must be a number, got {type(x).__name__}")
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+    return float(x)
+
+
+def _prior_check_params(strike, time, spot, vol) -> tuple[float, float, float, float]:
+    strike = _prior_require_number("strike", strike)
+    time = _prior_require_number("time", time)
+    spot = _prior_require_number("spot", spot)
+    vol = _prior_require_number("vol", vol)
+    if strike <= 0 or time <= 0 or spot <= 0 or vol <= 0:
+        raise DomainError("strike, time, spot and vol must all be strictly positive")
+    if vol > VOL_HI:
+        raise DomainError(f"vol must be at most {VOL_HI}")
+    if time > MAX_TIME:
+        raise DomainError(f"time must be at most {MAX_TIME} years")
+    return strike, time, spot, vol
+
+
+def _prior_d1_d2(strike, time, spot, vol):
+    sqrt_t = math.sqrt(time)
+    d1 = (math.log(spot / strike) + 0.5 * vol * vol * time) / (vol * sqrt_t)
+    return d1, d1 - vol * sqrt_t
+
+
+def _prior_price(strike, time, spot, vol):
+    """Call value: spot*N(d1) - strike*N(d2)."""
+    strike, time, spot, vol = _prior_check_params(strike, time, spot, vol)
+    d1, d2 = _prior_d1_d2(strike, time, spot, vol)
+    return spot * _prior_norm_cdf(d1) - strike * _prior_norm_cdf(d2)
+
+
+def _prior_delta(strike, time, spot, vol):
+    """Sensitivity to spot: N(d1)."""
+    strike, time, spot, vol = _prior_check_params(strike, time, spot, vol)
+    d1, _ = _prior_d1_d2(strike, time, spot, vol)
+    return _prior_norm_cdf(d1)
+
+
+def _prior_gamma(strike, time, spot, vol):
+    """Second sensitivity to spot: n(d1) / (spot * vol * sqrt(time))."""
+    strike, time, spot, vol = _prior_check_params(strike, time, spot, vol)
+    d1, _ = _prior_d1_d2(strike, time, spot, vol)
+    return _prior_norm_pdf(d1) / (spot * vol * math.sqrt(time))
+
+
+def _prior_vega(strike, time, spot, vol):
+    """Sensitivity to volatility: spot * n(d1) * sqrt(time)."""
+    strike, time, spot, vol = _prior_check_params(strike, time, spot, vol)
+    d1, _ = _prior_d1_d2(strike, time, spot, vol)
+    return spot * _prior_norm_pdf(d1) * math.sqrt(time)
+
+
+def _prior_implied_vol(strike, time, spot, price):
+    target = _prior_require_number("price", price)
+    strike = _prior_require_number("strike", strike)
+    time = _prior_require_number("time", time)
+    spot = _prior_require_number("spot", spot)
+    if strike <= 0 or time <= 0 or spot <= 0:
+        raise DomainError("strike, time and spot must all be strictly positive")
+    intrinsic = max(spot - strike, 0.0)
+    if not (intrinsic < target < spot):
+        raise NoSolution(
+            f"price {target} violates the arbitrage bounds "
+            f"({intrinsic} < price < {spot})"
+        )
+
+    def value_at(vol: float) -> float:
+        d1, d2 = _prior_d1_d2(strike, time, spot, vol)
+        return spot * _prior_norm_cdf(d1) - strike * _prior_norm_cdf(d2)
+
+    lo, hi = VOL_LO, VOL_HI
+    if value_at(lo) > target or value_at(hi) < target:
+        raise NoSolution(f"no vol in ({VOL_LO}, {VOL_HI}) prices to {target}")
+    mid = 0.5 * (lo + hi)
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        diff = value_at(mid) - target
+        if abs(diff) < BISECT_TOL:
+            return mid
+        if diff < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _prior_get_value(stock_portfolio):
+    if not isinstance(stock_portfolio, list):
+        raise DomainError("stock_portfolio must be an array of parameter sets")
+    total = 0.0
+    for i, row in enumerate(stock_portfolio):
+        if isinstance(row, list):
+            if len(row) != 4:
+                raise DomainError(f"portfolio row {i} must have 4 entries, got {len(row)}")
+            total += _prior_price(*row)
+        elif isinstance(row, dict):
+            try:
+                total += _prior_price(**row)
+            except TypeError:
+                raise DomainError(
+                    f"portfolio row {i} must carry strike, time, spot and vol"
+                ) from None
+        else:
+            raise DomainError(f"portfolio row {i} must be an array or object")
+    return total
+
+
+def _prior_number(name, x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DomainError(f"{name} must be a number, got {type(x).__name__}")
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
+def _prior_add(a, b):
+    return _prior_number("a", a) + _prior_number("b", b)
+
+
+def _prior_subtract(a, b):
+    return _prior_number("a", a) - _prior_number("b", b)
+
+
+def _prior_multiply(a, b):
+    return _prior_number("a", a) * _prior_number("b", b)
+
+
+def _prior_divide(a, b):
+    _prior_number("a", a)
+    if _prior_number("b", b) == 0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+_PRICER_PAIRS = [
+    (pricer.price, _prior_price),
+    (pricer.delta, _prior_delta),
+    (pricer.gamma, _prior_gamma),
+    (pricer.vega, _prior_vega),
+    (pricer.implied_vol, _prior_implied_vol),
+]
+_ARITHMETIC_PAIRS = [
+    (arithmetic.add, _prior_add),
+    (arithmetic.subtract, _prior_subtract),
+    (arithmetic.multiply, _prior_multiply),
+    (arithmetic.divide, _prior_divide),
+]
+
+
+_INF = math.inf
+_EDGES = [
+    1.0, 0.2, 100.0, 7.5, 1e-300, 1e300, 5e-324, 1.7976931348623157e308,
+    0.0, -0.0, -1.0, -1e300, math.nan, _INF, -_INF,
+    MAX_TIME, math.nextafter(MAX_TIME, _INF), math.nextafter(MAX_TIME, 0.0),
+    VOL_HI, math.nextafter(VOL_HI, _INF), math.nextafter(VOL_HI, 0.0),
+    1, 0, -1, 10, 11, 100, 101, 10**400, -(10**400),
+    True, False, None, "100", [100], _Real(2.0),
+]
+# a small set whose product crosses every check with every other
+_CROSSED = [1.0, 100, 0.0, -1.0, math.nan, 101.0, 11.0, None, 10**400]
+_BASES = [(100.0, 1.0, 100.0, 0.2), (90, 0.5, 105, 0.35), (100.0, 1.0, 20.0, 0.2)]
+
+
+def _kernel_outcome(fn, *args, **kwargs):
+    try:
+        return ("return", repr(fn(*args, **kwargs)))
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def _kernel_differences(pairs, argument_sets):
+    mismatches = []
+    for args in argument_sets:
+        for fused, prior in pairs:
+            got, want = _kernel_outcome(fused, *args), _kernel_outcome(prior, *args)
+            if got != want:
+                mismatches.append((fused.__name__, args, want, got))
+    return mismatches
+
+
+def _pricer_argument_sets():
+    for base in _BASES:
+        for position, edge in product(range(4), _EDGES):
+            args = list(base)
+            args[position] = edge
+            yield tuple(args)
+    yield from product(_CROSSED, repeat=4)
+
+
+def test_fused_pricer_matches_the_unfused_formulas_on_edge_cases():
+    assert _kernel_differences(_PRICER_PAIRS, _pricer_argument_sets()) == []
+    portfolios = [
+        [list(args) for args in _BASES],
+        [dict(zip(("strike", "time", "spot", "vol"), args)) for args in _BASES],
+        [[100.0, 1.0, 100.0, 0.2], {"strike": 1.0, "time": 1.0}, [1.0]],
+        [[100.0, 1.0, 100.0, 0.2], [1e308, 1.0, 1e-300, 0.2]],
+        [{"strike": 1.0, "time": 1.0, "spot": 1.0, "vol": 0.2, "extra": 1}],
+        [[1.0, 1.0, 1.0, math.nan]], [[1.0, 1.0, 1.0]], [3], None, "book",
+    ]
+    assert _kernel_differences([(pricer.get_value, _prior_get_value)],
+                               [(p,) for p in portfolios]) == []
+
+
+def test_fused_arithmetic_matches_the_unfused_operators_on_edge_cases():
+    assert _kernel_differences(_ARITHMETIC_PAIRS, product(_EDGES, repeat=2)) == []
+
+
+_anything = st.one_of(
+    st.floats(),
+    st.floats(1e-3, 1e3),
+    st.floats(0.01, 2.0),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from(_EDGES),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_anything, _anything, _anything, _anything)
+def test_fused_pricer_matches_the_unfused_formulas(strike, time, spot, vol):
+    args = (strike, time, spot, vol)
+    assert _kernel_differences(_PRICER_PAIRS, [args]) == []
+    named = dict(zip(("strike", "time", "spot", "vol"), args))
+    assert _kernel_differences(
+        [(pricer.get_value, _prior_get_value)], [([list(args), named, list(args)],)]
+    ) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_anything, _anything)
+def test_fused_arithmetic_matches_the_unfused_operators(a, b):
+    assert _kernel_differences(_ARITHMETIC_PAIRS, [(a, b)]) == []
+
+
+def test_kernel_differential_catches_a_broken_kernel(monkeypatch):
+    monkeypatch.setattr(pricer, "_SQRT2", math.nextafter(math.sqrt(2.0), 2.0))
+    assert _kernel_differences(_PRICER_PAIRS, _pricer_argument_sets())
+    monkeypatch.setattr(arithmetic, "isfinite", lambda number: True)
+    assert _kernel_differences(_ARITHMETIC_PAIRS, product(_EDGES, repeat=2))

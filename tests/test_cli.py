@@ -502,6 +502,33 @@ def test_a_percent_encoded_path_names_the_same_resource_everywhere(live_server):
         conn.close()
 
 
+def test_a_request_target_outside_ascii_is_rejected(live_server):
+    url, app = live_server
+    message = {"message": "request target must be ASCII; percent-encode other bytes"}
+    for target in ("/rest/crème", "/lambda/basic_arithmetic/add?a=1&b=é"):
+        request = f"POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n\r\n[1]"
+        # the bytes after the head would be a second request if the server read on
+        replies = _raw_exchange(url, request.encode("utf-8") + _SMUGGLED)
+        assert len(replies) == 1
+        status, headers, body = replies[0]
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == message
+    stored = json.loads(app.store.canonical_dump())
+    assert not [key for key in stored if key.startswith("/rest/cr")]
+    # the same name percent-encoded as UTF-8 is a valid target
+    conn = http.client.HTTPConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
+    try:
+        posted = _exchange(conn, "POST", "/rest/cr%C3%A8me", [1])
+        assert posted == (200, {"status": "success"})
+        assert _exchange(conn, "GET", "/rest/cr%C3%A8me") == (200, [1])
+    finally:
+        conn.close()
+    stored = json.loads(app.store.canonical_dump())
+    assert [key for key in stored if key.startswith("/rest/cr")] == ["/rest/crème"]
+
+
 def test_a_path_is_decoded_once_for_the_allow_hook_and_the_store():
     app = build_app()
     app.gateway.allow = lambda method, path: not path.startswith("/rest/private/")

@@ -1,6 +1,8 @@
 import copy
 import functools
+import json
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,9 +365,13 @@ _BODY_OUTCOMES = [
 _RECEIVED = []  # the locals each generated function saw on entry
 
 
-def _random_target(rng, index):
+def _random_target(rng, index, pick=None):
     """A function with a random signature whose body records its arguments
-    and returns or raises one of _BODY_OUTCOMES; a handle or a function value."""
+    and returns or raises one of _BODY_OUTCOMES; a handle or a function value.
+
+    `pick(received)` chooses the outcome from the arguments; by default
+    every call has the same one.
+    """
     parts = [f"r{i}" for i in range(rng.randrange(4))]
     parts += [f"d{i}=-{i}" for i in range(rng.randrange(3))]
     if rng.random() < 0.3:
@@ -373,12 +379,15 @@ def _random_target(rng, index):
     if rng.random() < 0.3:
         parts.append("**named")
     outcome = rng.choice(_BODY_OUTCOMES)
+    if pick is None:
+        pick = lambda received: outcome  # noqa: E731
 
     def body(received):
         _RECEIVED.append(received)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        chosen = pick(received)
+        if isinstance(chosen, Exception):
+            raise chosen
+        return chosen
 
     namespace = {"_body": body}
     exec(f"def f{index}({', '.join(parts)}):\n    return _body(dict(locals()))", namespace)
@@ -445,3 +454,258 @@ def test_dispatch_differential_catches_a_broken_fast_path(monkeypatch):
     assert _dispatch_differences(upper_bound_off_by_one)[0]
     monkeypatch.setattr(lambda_machine, "isfinite", lambda number: True)
     assert _dispatch_differences(machine.bind_and_call)[0]
+
+
+# --- combinators: the hoisted element loops against the loops they replace
+#
+# _reference_map, _reference_reduce, _reference_filter and
+# _reference_element_error are the serial combinators as they were before
+# the per-target work was hoisted out of their loops, kept verbatim apart
+# from their names and from calling _reference_call.
+
+
+def _reference_element_error(exc, combinator, index):
+    message = f"{combinator} element {index}: {getattr(exc, 'message', exc)}"
+    if isinstance(exc, FastError) and not isinstance(exc, lambda_machine.ParseError):
+        return type(exc)(message)
+    return DomainError(message)
+
+
+def _reference_map(target, data):
+    call = _reference_call
+    results = []
+    try:
+        for element in data:
+            results.append(call(target, element))
+    except Exception as exc:
+        # the failing element is the one after the last result
+        raise _reference_element_error(exc, "map", len(results)) from None
+    # a function value is only meaningful as a whole result, never
+    # as an array element nothing can consume
+    if any(isinstance(r, FunctionValue) for r in results):
+        raise UnserializableResult("map produced function values")
+    return results
+
+
+def _reference_reduce(target, data):
+    if not data:
+        raise EmptyReduce("reduce of empty array")
+    accumulator = data[0]
+    for index, element in enumerate(data[1:], start=1):
+        try:
+            accumulator = _reference_call(target, [accumulator, element])
+        except Exception as exc:
+            raise _reference_element_error(exc, "reduce", index) from None
+    return _reference_checked_result(accumulator)
+
+
+def _reference_filter(target, data):
+    kept = []
+    for index, element in enumerate(data):
+        try:
+            verdict = _reference_call(target, element)
+            if not isinstance(verdict, bool):
+                raise DomainError(
+                    f"filter predicate must return a boolean, got {verdict!r}"
+                )
+        except Exception as exc:
+            raise _reference_element_error(exc, "filter", index) from None
+        if verdict:
+            kept.append(element)
+    return kept
+
+
+_REFERENCE_COMBINATORS = {
+    "map": _reference_map,
+    "reduce": _reference_reduce,
+    "filter": _reference_filter,
+}
+
+# per element: mostly results that let the loop go on, sometimes a failure
+_ELEMENT_OUTCOMES = {
+    "map": [1.5, -0.0, 3, "s", None, [1, 2.5], {"k": "v"}, _Real(2.5), _RESULT_FN],
+    "reduce": [1.5, -0.0, 3, "s", None, [1, 2.5], _Real(2.5), _RESULT_FN],
+    "filter": [True, False, True, False, True, False],
+}
+_ELEMENT_FAILURES = [
+    float("nan"), float("inf"), [float("nan")], [_RESULT_FN], {"k": [1, _RESULT_FN]},
+    (1, 2), object(), 7, TypeError("unsupported operand"),
+    ZeroDivisionError("float division by zero"), ValueError("math domain error"),
+    OverflowError("math range error"), KeyError("k"), DomainError("raised by the body"),
+]
+
+
+def _outcome_picker(rng, combinator):
+    table = list(_ELEMENT_OUTCOMES[combinator])
+    table += rng.sample(_ELEMENT_FAILURES, rng.randrange(1, 4))
+    # the outcome depends on the arguments' sorted text only, so the function
+    # stays pure when the purity check passes it a parse of its input
+    def pick(received):
+        text = json.dumps(received, sort_keys=True, default=repr)
+        return table[zlib.crc32(text.encode()) % len(table)]
+
+    return pick
+
+
+def _random_element(rng, target):
+    """Mostly an array the target takes spread, otherwise any payload."""
+    low, high = getattr(target, "min_args", 1), getattr(target, "max_args", 3)
+    if rng.random() < 0.6 and low <= min(high, low + 2):
+        length = rng.randint(low, min(high, low + 2))
+        return [rng.randrange(-9, 10) for _ in range(length)]
+    return _random_payload(rng, target)
+
+
+def _run_outcome(run, target, combinator, data):
+    try:
+        result = run(target, combinator, data)
+    except Exception as exc:
+        return ("raise", type(exc), getattr(exc, "message", str(exc)))
+    return ("return", type(result), repr(result))
+
+
+def _combinator_differences(machine, seed=9, cases=2000):
+    """(mismatching cases, outcome kinds seen) of `machine.run` against the reference."""
+    rng = random.Random(seed)
+    mismatches, kinds = [], set()
+    for index in range(cases):
+        combinator = rng.choice(sorted(_REFERENCE_COMBINATORS))
+        target = _random_target(rng, index, _outcome_picker(rng, combinator))
+        data = [_random_element(rng, target) for _ in range(rng.randrange(7))]
+        reference = _REFERENCE_COMBINATORS[combinator]
+        expected = _run_outcome(lambda t, c, d: reference(t, d), target, combinator, data)
+        got = _run_outcome(machine.run, target, combinator, data)
+        if got != expected:
+            mismatches.append((combinator, target, data, expected, got))
+        kinds.add((combinator, expected[1].__name__, _failing_position(expected, data)))
+    return mismatches, kinds
+
+
+def _failing_position(outcome, data):
+    """Where the element named by an element error sits in `data`."""
+    head = outcome[2].split(":")[0] if outcome[0] == "raise" else ""
+    if " element " not in head:
+        return head
+    index, first = int(head.rsplit(" ", 1)[1]), 1 if head.startswith("reduce") else 0
+    return "first" if index == first else "last" if index == len(data) - 1 else "middle"
+
+
+@pytest.mark.parametrize("check_purity", [False, True], ids=["unchecked", "purity"])
+def test_combinators_match_the_reference_loops(check_purity):
+    mismatches, kinds = _combinator_differences(LambdaMachine(check_purity=check_purity))
+    assert mismatches == []
+    # each kind of element failure was met at the first element, a middle one
+    # and the last; every reduce call passes two arguments, so a reduce's
+    # arity mismatch comes at its first call, and later only from a
+    # function value whose body raises TypeError, too rare here to count on
+    assert {
+        (combinator, name, position)
+        for combinator in ("map", "reduce", "filter")
+        for name in ("ArityMismatch", "DomainError", "UnserializableResult")
+        for position in ("first", "middle", "last")
+    } - {("reduce", "ArityMismatch", position) for position in ("middle", "last")} <= kinds
+    assert {("map", "list", ""), ("reduce", "float", ""), ("filter", "list", "")} <= kinds
+    assert ("map", "UnserializableResult", "map produced function values") in kinds
+
+
+def test_combinator_differential_catches_a_broken_loop(monkeypatch):
+    machine = LambdaMachine()
+    monkeypatch.setattr(lambda_machine, "isfinite", lambda number: True)
+    assert _combinator_differences(machine, cases=300)[0]
+
+
+def _nested_function_value(x):
+    return [FunctionValue(abs, "abs")]
+
+
+_COMBINATOR_TEST_FUNCTIONS = {
+    "inverse": lambda x: 1 / x,
+    "lookup_k": lambda d: d["k"],
+    "nested_fn": _nested_function_value,
+    "pair_nested_fn": lambda a, b: {"f": _nested_function_value(a)},
+}
+
+_NOT_A_NUMBER_STR = "'>' not supported between instances of 'str' and 'int'"
+_NON_FINITE = "function produced an invalid result: result contains a non-finite number"
+_FN_IN_RESULT = "result contains a function value and cannot be serialized"
+
+# (function, combinator, data, expected class, expected message or result)
+_COMBINATOR_CASES = [
+    ("basic_arithmetic.add", "map", [[1, 2], [3.5, 4.0]], None, [3, 7.5]),
+    ("basic_arithmetic.add", "map", [["x", 1], [1, 2], [3, 4]], DomainError,
+     "map element 0: a must be a number, got str"),
+    ("basic_arithmetic.add", "map", [[1, 2], [1, None], [3, 4]], DomainError,
+     "map element 1: b must be a number, got NoneType"),
+    ("basic_arithmetic.add", "map", [[1, 2], [3, 4], [1e308, 1e308]], DomainError,
+     f"map element 2: {_NON_FINITE}"),
+    ("basic_arithmetic.add", "map", [[1, 2], 5], ArityMismatch,
+     "map element 1: basic_arithmetic.add expects 2 arguments, got 1"),
+    ("basic_arithmetic.add", "map", [[1, 2], [1, 2, 3]], ArityMismatch,
+     "map element 1: basic_arithmetic.add expects 2 arguments, got 3"),
+    ("basic_arithmetic.add", "map", [[1, 2], {"a": 1, "c": 2}], UnknownParameter,
+     "map element 1: basic_arithmetic.add got unexpected parameter(s): c"),
+    ("basic_arithmetic.divide", "map", [[1.0, 2.0], [1.0, 0.0]], DomainError,
+     "map element 1: division by zero"),
+    ("pricer.price", "map", [[100, 1, 100, 0.2], [1e308, 1.0, 1e-300, 0.2]], DomainError,
+     "map element 1: pricer.price: math domain error"),
+    ("checks.is_positive", "map", [[1], ["a"]], DomainError,
+     f"map element 1: checks.is_positive: {_NOT_A_NUMBER_STR}"),
+    ("extra.inverse", "map", [[2], [0]], DomainError,
+     "map element 1: extra.inverse: division by zero"),
+    ("extra.lookup_k", "map", [[{}]], DomainError, "map element 0: 'k'"),
+    ("extra.nested_fn", "map", [[1], [2]], UnserializableResult,
+     f"map element 0: {_FN_IN_RESULT}"),
+    ("higher_order_arithmetic.add", "map", [[1], [2]], UnserializableResult,
+     "map produced function values"),
+    # an element's error outranks an earlier element's function value
+    ("higher_order_arithmetic.add", "map", [[1], "x"], DomainError,
+     "map element 1: x must be a number, got str"),
+    ("basic_arithmetic.add", "reduce", [1, 2.5, 3], None, 6.5),
+    ("basic_arithmetic.add", "reduce", [1, "x", 2], DomainError,
+     "reduce element 1: b must be a number, got str"),
+    ("basic_arithmetic.add", "reduce", [1e308, 1e308, 1.0], DomainError,
+     f"reduce element 1: {_NON_FINITE}"),
+    ("basic_arithmetic.divide", "reduce", [8, 2, 0], DomainError,
+     "reduce element 2: division by zero"),
+    ("checks.double", "reduce", [1, 2], ArityMismatch,
+     "reduce element 1: checks.double expects 1 arguments, got 2"),
+    ("extra.pair_nested_fn", "reduce", [1, 2, 3], UnserializableResult,
+     f"reduce element 1: {_FN_IN_RESULT}"),
+    ("checks.is_positive", "filter", [[1], [-2], 3], None, [[1], 3]),
+    ("checks.is_positive", "filter", [["a"], [1]], DomainError,
+     f"filter element 0: checks.is_positive: {_NOT_A_NUMBER_STR}"),
+    ("checks.is_positive", "filter", [1, "a", 2], DomainError,
+     f"filter element 1: checks.is_positive: {_NOT_A_NUMBER_STR}"),
+    ("checks.is_positive", "filter", [[1], [2, 3]], ArityMismatch,
+     "filter element 1: checks.is_positive expects 1 arguments, got 2"),
+    ("checks.bad_bool", "filter", [[True], [False], [3]], DomainError,
+     "filter element 2: filter predicate must return a boolean, got 3"),
+    ("checks.bad_bool", "filter", [[float("inf")]], DomainError,
+     f"filter element 0: {_NON_FINITE}"),
+    ("extra.nested_fn", "filter", [[1]], UnserializableResult,
+     f"filter element 0: {_FN_IN_RESULT}"),
+]
+
+
+@pytest.mark.parametrize("check_purity", [False, True], ids=["unchecked", "purity"])
+@pytest.mark.parametrize(
+    "name, combinator, data, error, expected",
+    _COMBINATOR_CASES,
+    ids=[f"{case[1]}-{index}" for index, case in enumerate(_COMBINATOR_CASES)],
+)
+def test_combinator_element_errors_and_statuses(
+    check_purity, name, combinator, data, error, expected
+):
+    machine = make_machine()
+    machine.check_purity = check_purity
+    machine.register_package("extra", _COMBINATOR_TEST_FUNCTIONS)
+    target = machine.lookup(FunctionRef(*name.split(".")))
+    if error is None:
+        assert machine.run(target, combinator, data) == expected
+        return
+    with pytest.raises(FastError) as caught:
+        machine.run(target, combinator, data)
+    assert type(caught.value) is error
+    assert caught.value.message == expected
+    status = 422 if error in (ArityMismatch, UnknownParameter) else 500
+    assert caught.value.http_status == status
