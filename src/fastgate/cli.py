@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
+import socketserver
 import sys
 import threading
 from contextlib import suppress
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import quote, urlsplit
 
 import click
-import requests
 
 from .config import ENV_CONFIG, build_app, load_config_file, make_config, parse_bind
 from .errors import FastError
@@ -28,6 +31,11 @@ DEFAULT_SERVER = "http://127.0.0.1:8080"
 # A connection that sends nothing for this long, between requests or in the
 # middle of one, is closed, so an idle client does not hold a thread forever.
 IDLE_TIMEOUT_S = 60.0
+
+_MAX_LINE = 65536  # bytes in the request line (else 414) or in a header line (else 431)
+_MAX_LINES = 100  # header lines, the blank line that ends them included (else 431)
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a field name, RFC 9110 section 5.6.2
 
 
 class _ContinueOnRead:
@@ -49,98 +57,96 @@ class _ContinueOnRead:
         return self._rfile.read(size)
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(socketserver.StreamRequestHandler):
     """HTTP/1.1 in front of the server's WSGI app, one request at a time.
 
-    The connection stays open until the client closes it or sends
-    `Connection: close`, the request is not HTTP/1.1, the app answers
-    `Connection: close` because it left the body unread, or the client
-    stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an
-    unknown one gets the app's 405, not a 501.  A request target holding a
-    byte outside ASCII never does: it gets a 400, and the connection closes.
+    The request line and the header block are read once, as bytes, into the
+    environ.  The connection stays open until the client closes it or sends
+    `Connection: close`, the request is HTTP/1.0, the app answers
+    `Connection: close` because it left the body unread, or the client stays
+    silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an unknown
+    one gets the app's 405, not a 501.  A request not strictly framed never
+    does (RFC 9112): it gets a JSON error, and the connection closes.
     """
 
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
 
-    def setup(self):
-        super().setup()
+    def handle(self):
         self.connection.settimeout(IDLE_TIMEOUT_S)
+        with suppress(TimeoutError):  # the client went silent: drop it without a reply
+            while not self.server.closing and self._serve_one():
+                pass
 
-    def handle_one_request(self):
-        if self.server.closing:
-            self.close_connection = True
-            return
-        try:
-            self.raw_requestline = self.rfile.readline(65537)
-            self.body_input = self.rfile
-            if len(self.raw_requestline) > 65536:
-                self.requestline = self.request_version = self.command = ""
-                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-            elif not self.raw_requestline:
-                self.close_connection = True
-            elif not self.parse_request():
-                pass  # parse_request has sent its own error reply
-            elif not self.path.isascii():
-                # http.server decodes the line as ISO-8859-1; RFC 9112 allows only ASCII
-                self.send_error(
-                    HTTPStatus.BAD_REQUEST,
-                    "request target must be ASCII; percent-encode other bytes",
-                )
-            else:
-                self._call_app()
-        except TimeoutError:  # the client went silent: drop it without a reply
-            self.close_connection = True
-
-    def _call_app(self):
-        path, _, query = self.path.partition("?")
-        environ = {
-            "REQUEST_METHOD": self.command,
-            # still percent-encoded: the gateway decodes a path once, as UTF-8
-            "PATH_INFO": path,
-            "QUERY_STRING": query,
-            # joined, so that duplicates fail the app's digits-only check
-            "CONTENT_LENGTH": ",".join(self.headers.get_all("Content-Length", ())),
-            "CONTENT_TYPE": self.headers.get("Content-Type", ""),
-            "wsgi.input": self.body_input,
-        }
-        for name, value in self.headers.items():
-            key = "HTTP_" + name.upper().replace("-", "_")
-            value = value.strip()
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False when the connection is to close."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return self._reject(414)
+        words = (text := line.decode("latin-1").rstrip("\r\n")).split()
+        if not words:  # the client closed the connection, or sent a blank line
+            return False
+        if len(words) >= 3 and not (version := _VERSION.fullmatch(words[-1])):
+            return self._reject(400, f"Bad request version ({words[-1]!r})")
+        if len(words) >= 3 and int(version[1]) > 1:
+            return self._reject(505, f"Invalid HTTP version ({words[-1][5:]})")
+        if len(words) != 3:
+            return self._reject(400, f"Bad request syntax ({text!r})")
+        method, target, _ = words
+        http11 = int(version[1]) == 1 <= int(version[2])  # or a later 1.x (RFC 9110 2.5)
+        path, _, query = target.partition("?")
+        # PATH_INFO stays percent-encoded: the gateway decodes a path once, as UTF-8
+        environ = {"REQUEST_METHOD": method, "PATH_INFO": path, "QUERY_STRING": query}
+        framing = {b"content-length": [], b"content-type": []}  # by exact name, not Content_Length
+        for _ in range(_MAX_LINES):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                return self._reject(431, "Line too long")
+            name, colon, value = line.partition(b":")
+            if not (colon and _TOKEN.fullmatch(name)):
+                return self._reject(400, "malformed header field name")
+            key = "HTTP_" + name.decode("ascii").upper().replace("-", "_")
+            value = value.strip().decode("latin-1")
             environ[key] = f"{environ[key]},{value}" if key in environ else value
+            framing.get(name.lower(), []).append(value)
+        else:
+            return self._reject(431, "Too many headers")
+        if not target.isascii():  # RFC 9112 allows only ASCII
+            return self._reject(400, "request target must be ASCII; percent-encode other bytes")
+        if http11 and "," in environ.get("HTTP_HOST", ","):  # none, or two joined by a comma
+            return self._reject(400, "an HTTP/1.1 request needs exactly one Host")
+        # joined, so that a repeated Content-Length fails the app's digits-only check
+        environ["CONTENT_LENGTH"] = ",".join(framing[b"content-length"])
+        environ["CONTENT_TYPE"] = next(iter(framing[b"content-type"]), "")
+        expect = http11 and environ.get("HTTP_EXPECT", "").lower() == "100-continue"
+        environ["wsgi.input"] = _ContinueOnRead(self.rfile, self.wfile) if expect else self.rfile
+        close = not http11 or environ.get("HTTP_CONNECTION", "").lower() == "close"
         reply = []
         chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
         status, headers = reply
-        if ("Connection", "close") in headers or self.request_version != "HTTP/1.1":
-            self.close_connection = True
-        self._send(status, headers, b"" if self.command == "HEAD" else b"".join(chunks))
+        close = close or ("Connection", "close") in headers
+        self._send(status, headers, b"" if method == "HEAD" else b"".join(chunks), close)
+        return not close
 
-    def handle_expect_100(self):
-        # http.server would answer 100 here, before the app has seen the length
-        self.body_input = _ContinueOnRead(self.rfile, self.wfile)
-        return True
-
-    def _send(self, status: str, headers: list, body: bytes) -> None:
-        # One write: a second small one would wait on the client's delayed ACK.
-        head = [f"{self.protocol_version} {status}", f"Date: {self.date_time_string()}"]
-        head += [f"{name}: {value}" for name, value in headers]
-        if self.close_connection and ("Connection", "close") not in headers:
-            head.append("Connection: close")
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
-
-    def send_error(self, code, message=None, explain=None):
-        """Errors that http.server finds itself (request line, headers), in JSON."""
-        self.close_connection = True
+    def _reject(self, code: int, message: str = "") -> bool:
+        """Answer a request the reader refused with a JSON error, and close."""
         phrase = HTTPStatus(code).phrase
         body = canonical_json({"message": message or phrase}).encode("utf-8")
         headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
-        self._send(f"{code} {phrase}", headers, body)
+        self._send(f"{code} {phrase}", headers, body, close=True)
+        return False
 
-    def log_message(self, format, *args):  # per-request noise off
-        pass
+    def _send(self, status: str, headers: list, body: bytes, close: bool) -> None:
+        # One write: a second small one would wait on the client's delayed ACK.
+        head = [f"HTTP/1.1 {status}", f"Date: {formatdate(usegmt=True)}"]
+        head += [f"{name}: {value}" for name, value in headers]
+        if close and ("Connection", "close") not in headers:
+            head.append("Connection: close")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
 
 
-class GatewayServer(ThreadingHTTPServer):
+class GatewayServer(socketserver.ThreadingTCPServer):
     """Serves the WSGI callable `app` with one thread per connection.
 
     `server_close` lets the requests in flight finish and ends every
@@ -148,6 +154,7 @@ class GatewayServer(ThreadingHTTPServer):
     a store saved then holds every acknowledged write.
     """
 
+    allow_reuse_address = True
     daemon_threads = False  # server_close joins them
 
     def __init__(self, address: tuple, app):
@@ -254,28 +261,42 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
             click.echo(f"store flushed to {config.store_path}", err=True)
 
 
+def _post(server: str, path: str, value):
+    """POST `value` as JSON to `path` under the `server` URL; the reply's value.
+
+    Any other outcome exits: 1 for a 4xx, 2 for no server or another reply.
+    """
+    try:
+        url = urlsplit(server)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("the URL must start with http:// or https://")
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        conn = connection(url.hostname, url.port, timeout=60)
+        try:
+            headers = {"Content-Type": "application/json"}
+            conn.request("POST", url.path.rstrip("/") + path, canonical_json(value), headers)
+            response = conn.getresponse()
+            status, body = response.status, response.read()
+        finally:
+            conn.close()
+    except (OSError, ValueError, HTTPException) as exc:
+        _fail(f"cannot reach {server}: {exc}", 2)
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        _fail(f"non-JSON response (HTTP {status})", 2)
+    if status != 200:
+        message = payload.get("message") if isinstance(payload, dict) else None
+        _fail(message or f"HTTP {status}", 1 if 400 <= status < 500 else 2)
+    return payload
+
+
 @main.command()
 @click.argument("text")
 @click.option("--server", default=DEFAULT_SERVER, metavar="URL", show_default=True)
 def query(text, server):
     """Send a query-language string and print the JSON result."""
-    url = server.rstrip("/") + "/query"
-    try:
-        response = requests.post(url, json={"q": text}, timeout=60)
-    except requests.RequestException as exc:
-        _fail(f"cannot reach {server}: {exc}", 2)
-    try:
-        payload = response.json()
-    except ValueError:
-        _fail(f"non-JSON response (HTTP {response.status_code})", 2)
-    if response.status_code == 200:
-        click.echo(json.dumps(payload, indent=2))
-        return
-    message = payload.get("message") if isinstance(payload, dict) else None
-    _fail(
-        message or f"HTTP {response.status_code}",
-        1 if 400 <= response.status_code < 500 else 2,
-    )
+    click.echo(json.dumps(_post(server, "/query", {"q": text}), indent=2))
 
 
 @main.command()
@@ -295,24 +316,10 @@ def seed(file, server, uri):
         uri = "/" + uri
     if not uri.startswith("/rest/"):
         uri = "/rest" + uri
-    try:
-        response = requests.post(server.rstrip("/") + uri, json=value, timeout=60)
-    except requests.RequestException as exc:
-        _fail(f"cannot reach {server}: {exc}", 2)
-    try:
-        payload = response.json()
-    except ValueError:
-        _fail(f"non-JSON response (HTTP {response.status_code})", 2)
-    if response.status_code == 200 and isinstance(payload, dict) and (
-        payload.get("status") == "success"
-    ):
-        click.echo(f"seeded {uri}")
-        return
-    message = payload.get("message") if isinstance(payload, dict) else None
-    _fail(
-        message or f"HTTP {response.status_code}",
-        1 if 400 <= response.status_code < 500 else 2,
-    )
+    payload = _post(server, quote(uri, safe="/%"), value)  # the server decodes it once
+    if not (isinstance(payload, dict) and payload.get("status") == "success"):
+        _fail(f"unexpected reply: {canonical_json(payload)}", 2)
+    click.echo(f"seeded {uri}")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,14 @@ once, as UTF-8, so the allow hook, the router and the store see one form.
 `wsgi_app` is its one transport adapter: it takes PATH_INFO still
 percent-encoded, frames the body strictly by Content-Length and asks the
 server to close the connection when it leaves a body unread.
-`cli.GatewayServer` serves it over HTTP/1.1 with persistent connections.
+`cli.GatewayServer` serves it over HTTP/1.1 with persistent connections,
+and reads each request head once, strictly (RFC 9112).  An unexpected
+exception answers a fixed 500 message and logs its traceback to stderr.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field, replace
 from http.client import responses as _REASONS
 from typing import Callable, Optional
@@ -96,8 +99,9 @@ class Gateway:
             return WireResponse(200, self._route(req))
         except FastError as exc:
             return WireResponse(exc.http_status, {"message": exc.message})
-        except Exception as exc:  # last-resort guard; never leak a traceback
-            return WireResponse(500, {"message": f"{type(exc).__name__}: {exc}"})
+        except Exception:  # last-resort guard: the traceback goes to stderr, not the client
+            traceback.print_exc()
+            return WireResponse(500, {"message": "internal server error"})
 
     def wsgi_app(self, environ, start_response):
         method = environ.get("REQUEST_METHOD", "GET").upper()

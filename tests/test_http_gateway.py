@@ -759,6 +759,25 @@ def test_handle_never_raises(bundle):
         canonical_json(response.body)  # must always serialize
 
 
+def test_an_unexpected_error_answers_a_fixed_500_and_logs_its_traceback(bundle, capsys):
+    def lookup(key):
+        return {}[key]  # a KeyError is no documented error
+
+    bundle.machine.register_package("faulty", {"lookup": lookup})
+    client = Client(bundle.gateway)
+    assert client.post("/lambda/faulty/lookup", json={"data": ["k"]}) == (
+        500,
+        {"message": "internal server error"},
+    )
+    logged = capsys.readouterr().err
+    assert "Traceback" in logged and "KeyError: 'k'" in logged
+    # the documented 500s keep their messages
+    assert client.post("/lambda/basic_arithmetic/divide", json={"data": [1, 0]}) == (
+        500,
+        {"message": "division by zero"},
+    )
+
+
 def test_served_map_runs_on_the_request_thread(bundle, client, monkeypatch):
     book = [[90 + i % 20, 0.5 + i % 3, 100.0, 0.2] for i in range(1000)]
     assert client.post("/rest/book", json={"data": book}) == (200, {"status": "success"})

@@ -1,0 +1,593 @@
+"""The HTTP/1.1 request reader over real sockets.
+
+The reader parses each request head once and strictly (RFC 9112).  The
+socket tests below pin the requests it refuses, and a differential test
+sends the same raw bytes to it and to the `http.server` transport it
+replaced, kept verbatim below, and compares status, body and whether the
+connection closes.  The only differences allowed are the ones the reader
+makes on purpose, listed in _CHANGED.
+"""
+
+import http.client
+import random
+import socket
+import sys
+import threading
+import time
+from contextlib import suppress
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fastgate import build_app, cli
+from fastgate.values import canonical_json
+
+from test_rest_machine import Op, linearizable
+
+SOCKET_TIMEOUT_S = 5
+IDLE_TIMEOUT_S = 60.0  # read by the copied handler below
+
+# --- the transport at the parent commit, verbatim: http.server's handler
+# with the overrides that fed the same WSGI app
+
+
+class _ContinueOnRead:
+    """`wsgi.input` for a request that sent `Expect: 100-continue`.
+
+    The interim `100 Continue` goes out at the app's first read (PEP 3333),
+    so a body that the app refuses unread (a bad length, one over the cap)
+    is never invited.
+    """
+
+    def __init__(self, rfile, wfile):
+        self._rfile = rfile
+        self._wfile = wfile
+
+    def read(self, size=-1):
+        if self._wfile is not None:
+            self._wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self._wfile = None
+        return self._rfile.read(size)
+
+
+class _GatewayHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 in front of the server's WSGI app, one request at a time.
+
+    The connection stays open until the client closes it or sends
+    `Connection: close`, the request is not HTTP/1.1, the app answers
+    `Connection: close` because it left the body unread, or the client
+    stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an
+    unknown one gets the app's 405, not a 501.  A request target holding a
+    byte outside ASCII never does: it gets a 400, and the connection closes.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
+
+    def setup(self):
+        super().setup()
+        self.connection.settimeout(IDLE_TIMEOUT_S)
+
+    def handle_one_request(self):
+        if self.server.closing:
+            self.close_connection = True
+            return
+        try:
+            self.raw_requestline = self.rfile.readline(65537)
+            self.body_input = self.rfile
+            if len(self.raw_requestline) > 65536:
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            elif not self.raw_requestline:
+                self.close_connection = True
+            elif not self.parse_request():
+                pass  # parse_request has sent its own error reply
+            elif not self.path.isascii():
+                # http.server decodes the line as ISO-8859-1; RFC 9112 allows only ASCII
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "request target must be ASCII; percent-encode other bytes",
+                )
+            else:
+                self._call_app()
+        except TimeoutError:  # the client went silent: drop it without a reply
+            self.close_connection = True
+
+    def _call_app(self):
+        path, _, query = self.path.partition("?")
+        environ = {
+            "REQUEST_METHOD": self.command,
+            # still percent-encoded: the gateway decodes a path once, as UTF-8
+            "PATH_INFO": path,
+            "QUERY_STRING": query,
+            # joined, so that duplicates fail the app's digits-only check
+            "CONTENT_LENGTH": ",".join(self.headers.get_all("Content-Length", ())),
+            "CONTENT_TYPE": self.headers.get("Content-Type", ""),
+            "wsgi.input": self.body_input,
+        }
+        for name, value in self.headers.items():
+            key = "HTTP_" + name.upper().replace("-", "_")
+            value = value.strip()
+            environ[key] = f"{environ[key]},{value}" if key in environ else value
+        reply = []
+        chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
+        status, headers = reply
+        if ("Connection", "close") in headers or self.request_version != "HTTP/1.1":
+            self.close_connection = True
+        self._send(status, headers, b"" if self.command == "HEAD" else b"".join(chunks))
+
+    def handle_expect_100(self):
+        # http.server would answer 100 here, before the app has seen the length
+        self.body_input = _ContinueOnRead(self.rfile, self.wfile)
+        return True
+
+    def _send(self, status: str, headers: list, body: bytes) -> None:
+        # One write: a second small one would wait on the client's delayed ACK.
+        head = [f"{self.protocol_version} {status}", f"Date: {self.date_time_string()}"]
+        head += [f"{name}: {value}" for name, value in headers]
+        if self.close_connection and ("Connection", "close") not in headers:
+            head.append("Connection: close")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+
+    def send_error(self, code, message=None, explain=None):
+        """Errors that http.server finds itself (request line, headers), in JSON."""
+        self.close_connection = True
+        phrase = HTTPStatus(code).phrase
+        body = canonical_json({"message": message or phrase}).encode("utf-8")
+        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+        self._send(f"{code} {phrase}", headers, body)
+
+    def log_message(self, format, *args):  # per-request noise off
+        pass
+
+
+class GatewayServer(ThreadingHTTPServer):
+    """Serves the WSGI callable `app` with one thread per connection.
+
+    `server_close` lets the requests in flight finish and ends every
+    connection before it returns, so the app serves nothing after it and
+    a store saved then holds every acknowledged write.
+    """
+
+    daemon_threads = False  # server_close joins them
+
+    def __init__(self, address: tuple, app):
+        self.app = app
+        self.closing = False
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, _GatewayHandler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+
+# --- helpers
+
+
+class _Served:
+    """A server on a free localhost port, its own app, and a thread serving it."""
+
+    def __init__(self, server_class):
+        self.app = build_app()
+        self.server = server_class(("127.0.0.1", 0), self.app.gateway.wsgi_app)
+        self.address = self.server.server_address
+        serve = threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True)
+        serve.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.app.machine.close()
+
+
+@pytest.fixture
+def served():
+    server = _Served(cli.GatewayServer)
+    yield server
+    server.close()
+
+
+def _send(address, data: bytes) -> bytes:
+    """Send raw bytes, close the sending half, and read until the server closes."""
+    received = b""
+    with socket.create_connection(address, timeout=SOCKET_TIMEOUT_S) as sock:
+        with suppress(OSError):  # a server that closed early may refuse the rest
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        with suppress(ConnectionResetError):
+            while chunk := sock.recv(65536):
+                received += chunk
+    return received
+
+
+def _replies(received: bytes) -> list:
+    """(status line, headers without Date, body) for each reply, in order.
+
+    A reply to HEAD has no body, so a status line where its body would start
+    (never JSON) ends it; a 100 Continue has no Content-Length.
+    """
+    replies = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        headers.pop("Date", None)
+        length = 0 if rest.startswith(b"HTTP/1.1 ") else int(headers.get("Content-Length", 0))
+        replies.append((status, headers, rest[:length]))
+        received = rest[length:]
+    return replies
+
+
+def _request(method="GET", target="/healthz", headers=(("Host", "t"),), body=b"",
+             version="HTTP/1.1") -> bytes:
+    lines = [f"{method} {target} {version}"] + [f"{name}: {value}" for name, value in headers]
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+
+# answered only if the connection is still open after the requests before it
+_PROBE = b"GET /healthz HTTP/1.1\r\nHost: probe\r\nConnection: close\r\n\r\n"
+
+
+# --- what the reader refuses: a JSON 400, and the connection closes
+
+
+def _refused(served, data: bytes, message: str) -> None:
+    body = canonical_json({"message": message}).encode()
+    headers = {"Content-Type": "application/json", "Content-Length": str(len(body)),
+               "Connection": "close"}
+    # one reply: the probe after the refused request goes unread
+    assert _replies(_send(served.address, data + _PROBE)) == [
+        ("HTTP/1.1 400 Bad Request", headers, body)
+    ]
+
+
+def test_a_space_before_the_colon_cannot_smuggle_a_request(served):
+    served.app.store.post_resource("/rest/victim", 1)
+    smuggled = b"DELETE /rest/victim HTTP/1.1\r\nHost: t\r\n\r\n"
+    head = b"POST /rest/carrier HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+    data = head + b"Content-Length : %d\r\n\r\n" % len(smuggled) + smuggled
+    _refused(served, data, "malformed header field name")
+    assert served.app.store.get_resource("/rest/victim") == 1  # the DELETE never ran
+    assert served.app.store.canonical_dump() == '{"/rest/victim":1}'
+
+
+def test_only_a_field_named_content_length_frames_a_body(served):
+    # Content_Length maps to the same HTTP_ key, but a proxy that forwards it
+    # frames no body, so the bytes after the head are the next request
+    served.app.store.post_resource("/rest/victim", 1)
+    smuggled = b"DELETE /rest/victim HTTP/1.1\r\nHost: t\r\n\r\n"
+    head = b"POST /rest/carrier HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+    data = head + b"Content_Length: %d\r\n\r\n" % len(smuggled) + smuggled
+    replies = _replies(_send(served.address, data + _PROBE))
+    assert replies[0][2] == b'{"message":"a JSON body is required to store a resource"}'
+    assert [reply[0] for reply in replies] == [
+        "HTTP/1.1 400 Bad Request", "HTTP/1.1 200 OK", "HTTP/1.1 200 OK"
+    ]
+    assert served.app.store.canonical_dump() == "{}"  # the DELETE ran as its own request
+
+
+def test_only_a_field_named_content_type_sets_the_content_type(served):
+    head = b"POST /rest/typed HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n"
+    data = head + b"Content_Type: application/x-www-form-urlencoded\r\n\r\n[1]"
+    assert _replies(_send(served.address, data + _PROBE))[0][0] == "HTTP/1.1 200 OK"
+    assert served.app.store.get_resource("/rest/typed") == [1]  # read as JSON, not a form
+
+
+@pytest.mark.parametrize(
+    "headers",
+    [
+        (("Content-Length", "1"),),
+        (("Host", "a"), ("Content-Length", "1"), ("Host", "b")),
+        (("Host", "a"), ("host", "a"), ("Content-Length", "1")),
+    ],
+    ids=["missing", "two", "two-same"],
+)
+def test_an_http11_request_needs_exactly_one_host(served, headers):
+    data = _request("POST", "/rest/hosted", headers, b"1")
+    _refused(served, data, "an HTTP/1.1 request needs exactly one Host")
+    assert served.app.store.canonical_dump() == "{}"
+    # HTTP/1.0 has no Host rule
+    data = _request("POST", "/rest/hosted", headers, b"1", "HTTP/1.0")
+    [reply] = _replies(_send(served.address, data))
+    assert reply[0] == "HTTP/1.1 200 OK" and reply[1]["Connection"] == "close"
+
+
+@pytest.mark.parametrize(
+    "field",
+    [b"X-Folded: a\r\n b", b"X-Folded: a\r\n\tb", b" X-Leading: a", b"X-Space : a",
+     b"X-Tab\t: a", b"No colon", b": empty name", b"X(Paren): a", b"X-\xe9: a"],
+    ids=["obs-fold", "obs-fold-tab", "leading-space", "space", "tab", "no-colon",
+         "empty-name", "separator", "non-ascii"],
+)
+def test_a_field_name_that_is_not_a_token_is_refused(served, field):
+    head = b"POST /rest/fielded HTTP/1.1\r\nHost: t\r\n"
+    data = head + field + b"\r\nContent-Length: 1\r\n\r\n1"
+    _refused(served, data, "malformed header field name")
+    assert served.app.store.canonical_dump() == "{}"
+
+
+@pytest.mark.parametrize("line", [b"GET /healthz", b"POST /rest/x"])
+def test_a_two_word_request_line_is_refused(served, line):
+    _refused(served, line + b"\r\n\r\n", f"Bad request syntax ({line.decode()!r})")
+
+
+def test_a_later_http1_minor_version_is_served_as_http11(served):
+    replies = _replies(_send(served.address, _request(version="HTTP/1.2") + _PROBE))
+    assert [reply[0] for reply in replies] == ["HTTP/1.1 200 OK", "HTTP/1.1 200 OK"]
+    assert "Connection" not in replies[0][1]  # kept open, as for HTTP/1.1
+    _refused(served, _request(headers=(), version="HTTP/1.2"),
+             "an HTTP/1.1 request needs exactly one Host")
+
+
+# --- the differential test against the old transport
+
+
+@pytest.fixture(scope="module")
+def pair():
+    servers = _Served(cli.GatewayServer), _Served(GatewayServer)
+    yield servers
+    for served in servers:
+        served.close()
+
+
+def _both(pair, data: bytes, probe: bytes = _PROBE) -> tuple:
+    """The replies of (the reader, the old transport) to `data` and then `probe`."""
+    return tuple(_replies(_send(served.address, data + probe)) for served in pair)
+
+
+_names = st.sampled_from(["X-A", "x-b", "X-Bench-Request-Id", "Accept", "User-Agent", "X_U",
+                         "Content_Length", "content_type"])
+_values = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e), max_size=12)
+_json_bodies = st.sampled_from([b"", b"1", b"[1,2]", b'{"data":[3,4]}', b'{"q":"Get /rest/d/a"}',
+                                b'"s"', b"[1,", b"\xff", b"a=1&b=2", b"q=Get+%2Frest%2Fd%2Fa"])
+_targets = st.sampled_from([
+    "/healthz", "/rest/d/a", "/rest/d/b", "/rest/d/?children=true", "/rest/d%2Fa",
+    "/lambda/basic_arithmetic/add", "/lambda/basic_arithmetic/add?a=1&b=2",
+    "/lambda/add?data=[1,2]", "/query", "/query?q=Get+%2Frest%2Fd%2Fa", "/nowhere", "/",
+    "/fast/pricer?fns=price", "/lambda/basic_arithmetic/divide?a=1&b=0",
+])
+
+
+@st.composite
+def _valid_requests(draw):
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"]))
+    body = draw(_json_bodies)
+    headers = [("Host", "t")] if version == "HTTP/1.1" or draw(st.booleans()) else []
+    headers += draw(st.lists(st.tuples(_names, _values), max_size=3))
+    if body or draw(st.booleans()):
+        headers.append((draw(st.sampled_from(["Content-Length", "content-length"])),
+                        str(len(body))))
+    content_type = draw(st.sampled_from(
+        [None, "application/json", "application/x-www-form-urlencoded", "text/plain"]))
+    if content_type:
+        headers.append(("Content-Type", content_type))
+    connection = draw(st.sampled_from([None, None, "close", "Close", "keep-alive"]))
+    if connection:
+        headers.append(("Connection", connection))
+    if version == "HTTP/1.1" and body and draw(st.booleans()):
+        headers.append(("Expect", "100-continue"))
+    draw(st.randoms()).shuffle(headers)
+    return _request(method, draw(_targets), headers, body, version)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(requests=st.lists(_valid_requests(), min_size=1, max_size=3))
+def test_valid_requests_get_the_same_replies(pair, requests):
+    new, old = _both(pair, b"".join(requests))
+    assert new == old
+
+
+# documented malformed framings, and heads both transports read alike
+_MALFORMED = {
+    "negative-length": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n",
+    "garbage-length": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n",
+    "duplicate-length": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\n"
+                        b"Content-Length: 1\r\n\r\n1",
+    "oversized": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 1000000000000\r\n\r\n",
+    "oversized-expect": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+                        b"Content-Length: 999999999\r\n\r\n",
+    "chunked": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n1\r\n",
+    "short-body": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 500\r\n\r\n[1]",
+    "nonsense": b"NONSENSE\r\n\r\n",
+    "four-words": b"GET / x HTTP/1.1\r\nHost: t\r\n\r\n",
+    "bad-version": b"GET / HTTP/x\r\nHost: t\r\n\r\n",
+    "bad-version-digits": b"GET / HTTP/1.1.1\r\nHost: t\r\n\r\n",
+    "long-version": b"GET / HTTP/1.12345678901\r\nHost: t\r\n\r\n",
+    "http2": b"GET / HTTP/2.0\r\nHost: t\r\n\r\n",
+    "http09-three-words": b"GET /healthz HTTP/0.9\r\n\r\n",
+    "non-ascii-target": "POST /rest/crème HTTP/1.1\r\nHost: t\r\n\r\n".encode(),
+    "non-ascii-query": "GET /healthz?a=é HTTP/1.1\r\nHost: t\r\n\r\n".encode(),
+    "long-request-line": b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+    "long-header-line": b"GET / HTTP/1.1\r\nHost: t\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+    "too-many-headers": b"GET / HTTP/1.1\r\nHost: t\r\n" + b"X-N: 1\r\n" * 100 + b"\r\n",
+    "99-headers": b"GET /healthz HTTP/1.1\r\nHost: t\r\n" + b"X-N: 1\r\n" * 98 + b"\r\n",
+    "blank-line": b"\r\n",
+    "nothing": b"",
+    "bare-lf": b"GET /healthz HTTP/1.1\nHost: t\n\n",
+    "unknown-method": b"BREW /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+    "body-on-get": b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n[]",
+    "underscore-length": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                         b"Content_Length: 41\r\n\r\nDELETE /rest/f HTTP/1.1\r\nHost: t\r\n\r\n",
+    "underscore-and-length": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent_Length: 2\r\n"
+                             b"Content-Length: 3\r\n\r\n[1]",
+    "underscore-type": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n"
+                       b"Content_Type: text/plain\r\n\r\n[1]",
+    "two-types": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n"
+                 b"Content-Type: application/json\r\nContent-Type: text/plain\r\n\r\n[1]",
+    "latin-1-value": b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-A: caf\xe9\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("data", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_framing_gets_the_same_replies(pair, data):
+    new, old = _both(pair, data)
+    assert new == old
+    if data.endswith(b"\r\n\r\n") and b"Host" in data:  # pipelined after a good request
+        new, old = _both(pair, _request() + data)
+        assert new == old
+
+
+def test_a_head_cut_short_by_the_client_gets_the_same_replies(pair):
+    for data in (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", b"GET /healthz HTTP/1.1\r\n"
+                 b"Host: t\r\nContent-Length: 2\r\n\r\n[", b"GET /healthz HTTP/1.0"):
+        new, old = _both(pair, data, probe=b"")
+        assert new == old
+
+
+# the differences the reader makes on purpose: (old transport's replies as
+# status lines, the reader's).  Each runs on a fresh pair of stores.
+_REFUSED = "HTTP/1.1 400 Bad Request"
+_OK = "HTTP/1.1 200 OK"
+_CHANGED = {
+    # a field name that is not a token: the old parser dropped the line, or
+    # every line after it, so the body was read as the next request
+    "space-before-colon": (
+        b"POST /rest/c HTTP/1.1\r\nHost: t\r\nContent-Length : 41\r\n\r\n"
+        b"DELETE /rest/victim HTTP/1.1\r\nHost: t\r\n\r\n",
+        [_REFUSED, _OK, _OK], [_REFUSED],
+    ),
+    "obs-fold": (
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-A: a\r\n b\r\n\r\n", [_OK, _OK], [_REFUSED],
+    ),
+    "no-colon": (b"GET /healthz HTTP/1.1\r\nHost: t\r\nNo colon\r\n\r\n", [_OK, _OK], [_REFUSED]),
+    # RFC 9112 section 3.2
+    "no-host": (b"GET /healthz HTTP/1.1\r\n\r\n", [_OK, _OK], [_REFUSED]),
+    "two-hosts": (b"GET /healthz HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n", [_OK, _OK], [_REFUSED]),
+    # HTTP/0.9: one reply with the connection closed, or a 400, then; a 400 now
+    "http09-get": (b"GET /healthz\r\n\r\n", [_OK], [_REFUSED]),
+    "http09-post": (b"POST /rest/x\r\n\r\n", [_REFUSED], [_REFUSED]),
+    # http.server's open-redirect guard rewrote //path to /path
+    "double-slash": (b"GET //healthz HTTP/1.1\r\nHost: t\r\n\r\n", [_OK, _OK],
+                     ["HTTP/1.1 404 Not Found", _OK]),
+    # a later HTTP/1.x minor is served as 1.1 and keeps the connection open
+    "http12": (b"GET /healthz HTTP/1.2\r\nHost: t\r\n\r\n", [_OK], [_OK, _OK]),
+}
+
+
+@pytest.mark.parametrize("data, old_statuses, new_statuses", _CHANGED.values(),
+                         ids=_CHANGED.keys())
+def test_the_reader_differs_only_where_it_means_to(data, old_statuses, new_statuses):
+    pair = _Served(cli.GatewayServer), _Served(GatewayServer)
+    try:
+        for served in pair:
+            served.app.store.post_resource("/rest/victim", 1)
+        new, old = _both(pair, data)
+        assert [reply[0] for reply in old] == old_statuses
+        assert [reply[0] for reply in new] == new_statuses
+        # the reader never lets the smuggled DELETE run
+        assert pair[0].app.store.get_resource("/rest/victim") == 1
+    finally:
+        for served in pair:
+            served.close()
+
+
+# --- per-URI linearizability over the wire
+
+
+def test_rest_is_linearizable_per_uri_over_keep_alive_connections(served):
+    rng = random.Random(11)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the server's threads finely
+    try:
+        for round_no in range(30):
+            uris = [f"/rest/wire/{round_no}/{k}" for k in range(2)]
+            n_clients = rng.randint(2, 5)
+            plans = [
+                [(rng.choice(("GET", "POST", "DELETE")), rng.choice(uris)) for _ in range(8)]
+                for _ in range(n_clients)
+            ]
+            histories = {uri: [] for uri in uris}
+            start = threading.Barrier(n_clients, timeout=SOCKET_TIMEOUT_S)
+            failures = []
+
+            def client(tid, plan):
+                conn = http.client.HTTPConnection(*served.address, timeout=SOCKET_TIMEOUT_S)
+                try:
+                    conn.connect()
+                    start.wait()
+                    for seq, (method, uri) in enumerate(plan):
+                        body = None
+                        if method == "POST":
+                            body = canonical_json([tid, seq, list(range(20))])
+                        call = time.perf_counter_ns()
+                        conn.request(method, uri, body, {"Content-Type": "application/json"})
+                        response = conn.getresponse()
+                        text = response.read().decode()
+                        ret = time.perf_counter_ns()
+                        status = response.status
+                        if method == "POST":
+                            assert status == 200
+                            op = Op(call, ret, method, body)
+                        elif method == "GET":
+                            assert status in (200, 404)
+                            op = Op(call, ret, method, text if status == 200 else None)
+                        else:
+                            assert status in (200, 404)
+                            op = Op(call, ret, method, None, ok=status == 200)
+                        histories[uri].append(op)  # list.append is atomic
+                except Exception as exc:  # reported by the main thread
+                    failures.append(exc)
+                finally:
+                    conn.close()
+
+            threads = [
+                threading.Thread(target=client, args=(tid, plan))
+                for tid, plan in enumerate(plans)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(SOCKET_TIMEOUT_S)
+                assert not thread.is_alive()
+            assert failures == []
+            assert sum(map(len, histories.values())) == 8 * n_clients
+            for uri, history in histories.items():
+                assert linearizable(history), (uri, history)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+# --- the client commands' one POST helper
+
+
+def test_seed_percent_encodes_a_uri_outside_ascii(served, tmp_path):
+    path = tmp_path / "value.json"
+    path.write_text("[1]")
+    url = "http://%s:%d/" % served.address
+    result = CliRunner().invoke(cli.main, ["seed", str(path), "--uri", "café/1", "--server", url])
+    assert result.exit_code == 0, result.stderr
+    assert result.output.strip() == "seeded /rest/café/1"
+    assert served.app.store.get_resource("/rest/café/1") == [1]
+
+
+def test_seed_sends_question_marks_and_hashes_as_part_of_the_uri(served, tmp_path):
+    path = tmp_path / "value.json"
+    path.write_text("2")
+    url = "http://%s:%d" % served.address
+    seed = CliRunner().invoke
+    result = seed(cli.main, ["seed", str(path), "--uri", "a#b%20c", "--server", url])
+    assert result.exit_code == 0, result.stderr
+    assert served.app.store.canonical_dump() == '{"/rest/a#b c":2}'
+    # the server refuses the `?`: it is not read as the start of a query string
+    result = seed(cli.main, ["seed", str(path), "--uri", "a?b", "--server", url])
+    assert result.exit_code == 1
+    assert "error: resource URI may not contain a query string: /rest/a?b" in result.stderr
+
+
+@pytest.mark.parametrize("server", ["127.0.0.1:1", "ftp://127.0.0.1:1", "http://127.0.0.1:x"])
+def test_a_server_url_that_is_not_http_exits_2(server):
+    result = CliRunner().invoke(cli.main, ["query", "Get x", "--server", server])
+    assert result.exit_code == 2
+    assert f"error: cannot reach {server}" in result.stderr
