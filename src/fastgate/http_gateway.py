@@ -11,6 +11,10 @@ Everything speaks JSON.  Error bodies are {"message": ...} with status
 drawn from {400, 404, 405, 413, 422, 500}; 200 bodies are the bare result.
 The core handler is transport-free.  It percent-decodes the request path
 once, as UTF-8, so the allow hook, the router and the store see one form.
+It also encodes each reply's canonical JSON text, once, inside its guard:
+a reply that cannot be encoded gets the fixed 500.  A resource GET sends
+the stored text as is, neither parsed nor re-encoded, and a wire POST body
+is validated once, when it is parsed.
 `wsgi_app` is its one transport adapter: it takes PATH_INFO still
 percent-encoded, frames the body strictly by Content-Length and asks the
 server to close the connection when it leaves a body unread.
@@ -21,6 +25,7 @@ exception answers a fixed 500 message and logs its traceback to stderr.
 
 from __future__ import annotations
 
+import json
 import traceback
 from dataclasses import dataclass, field, replace
 from http.client import responses as _REASONS
@@ -59,8 +64,19 @@ class WireRequest:
 
 @dataclass
 class WireResponse:
+    """A reply: its status and its body's canonical JSON text."""
+
     status: int
-    body: Value
+    text: str
+
+    @property
+    def body(self) -> Value:
+        """The body as a value, parsed afresh from the text."""
+        return json.loads(self.text)
+
+
+def _error(status: int, message: str) -> WireResponse:
+    return WireResponse(status, canonical_json({"message": message}))
 
 
 class Gateway:
@@ -96,12 +112,15 @@ class Gateway:
                 req = replace(req, path=unquote(req.path))
             if self.allow is not None and not self.allow(req.method, req.path):
                 raise NotFound("Not found")
-            return WireResponse(200, self._route(req))
+            result = self._route(req)
+            if isinstance(result, WireResponse):  # a stored value's text, sent as is
+                return result
+            return WireResponse(200, canonical_json(result))
         except FastError as exc:
-            return WireResponse(exc.http_status, {"message": exc.message})
+            return _error(exc.http_status, exc.message)
         except Exception:  # last-resort guard: the traceback goes to stderr, not the client
             traceback.print_exc()
-            return WireResponse(500, {"message": "internal server error"})
+            return _error(500, "internal server error")
 
     def wsgi_app(self, environ, start_response):
         method = environ.get("REQUEST_METHOD", "GET").upper()
@@ -113,7 +132,7 @@ class Gateway:
         try:
             body = self._read_body(environ)
         except FastError as exc:
-            response = WireResponse(exc.http_status, {"message": exc.message})
+            response = _error(exc.http_status, exc.message)
             # unread body bytes must not be parsed as the next request
             headers.append(("Connection", "close"))
         else:
@@ -126,7 +145,7 @@ class Gateway:
                     environ.get("CONTENT_TYPE", ""),
                 )
             )
-        payload = canonical_json(response.body).encode("utf-8")
+        payload = response.text.encode("utf-8")
         headers.append(("Content-Length", str(len(payload))))
         reason = _REASONS.get(response.status, "Unknown")
         start_response(f"{response.status} {reason}", headers)
@@ -155,7 +174,7 @@ class Gateway:
 
     # --- routing
 
-    def _route(self, req: WireRequest) -> Value:
+    def _route(self, req: WireRequest) -> Value | WireResponse:
         path = req.path
         if path == "/healthz":
             self._require_method(req, ("GET",))
@@ -183,11 +202,11 @@ class Gateway:
 
     # --- handlers
 
-    def handle_rest(self, req: WireRequest) -> Value:
+    def handle_rest(self, req: WireRequest) -> Value | WireResponse:
         if req.method == "GET":
             if req.query.get("children") in ("true", "1"):
                 return self.store.list_children(req.path)
-            return self.store.get_resource(req.path)
+            return WireResponse(200, self.store.get_text(req.path))
         if req.method == "DELETE":
             return self.store.delete_resource(req.path)
         body = self._json_body(req)
@@ -195,7 +214,8 @@ class Gateway:
             raise BadRequest("a JSON body is required to store a resource")
         if isinstance(body, dict) and set(body) == {"data"}:
             body = body["data"]  # unwrap the {"data": ...} envelope
-        return self.store.post_resource(req.path, body)
+        # loads_strict validated the body, and the envelope only adds depth
+        return self.store.post_resource(req.path, body, validated=True)
 
     def handle_lambda(self, req: WireRequest) -> Value:
         segments = self._tail_segments(req.path, "/lambda/")

@@ -2,11 +2,12 @@
 
 This is the only mutable state in the system.  Every URI lives under
 /rest/, maps to at most one value, and POST is an upsert.  Each URI holds
-its value's canonical JSON text, computed once when the value is posted;
-a read parses a fresh value from it.  Text is immutable, so no reader can
-change what another sees.  Reads never block each other; writes swap
-whole entries so a concurrent read observes either the old or the new
-value, never a partial one.
+its value's canonical JSON text, computed once when the value is posted.
+A wire GET sends that text as is; a template, query or `uri=` read
+parses a fresh value from it.  Text is immutable, so no reader can change
+what another sees.  Reads never block each other; writes swap whole
+entries so a concurrent read observes either the old or the new value,
+never a partial one.
 """
 
 from __future__ import annotations
@@ -72,10 +73,16 @@ class ResourceStore:
         except KeyError:
             raise NotFound(RESOURCE_NOT_FOUND) from None
 
-    def post_resource(self, uri: str, value: Value) -> dict:
-        """Create or replace the entry (upsert); returns a success status."""
+    def post_resource(self, uri: str, value: Value, *, validated: bool = False) -> dict:
+        """Create or replace the entry (upsert); returns a success status.
+
+        `validated` says the caller has run `validate_value` over `value`
+        already, as `loads_strict` does for a wire body, so it is not walked
+        twice.  Computed results, which can nest deeper, leave it False.
+        """
         key = check_key(uri)
-        validate_value(value)
+        if not validated:
+            validate_value(value)
         text = canonical_json(value)  # ASCII, so its length is its size in bytes
         if len(text) > self.max_bytes:
             raise PayloadTooLarge(f"payload exceeds {self.max_bytes} bytes")

@@ -67,36 +67,33 @@ def _find_spans(text: str) -> list[_Span]:
     """Top-level template spans, honoring the backslash escape.
 
     Nested "{{" inside a span must balance; an unterminated opener is an
-    error.  A "}}" with no opener is literal text.
+    error.  A "}}" with no opener is literal text.  The scan jumps from one
+    "{{" or "}}" to the next; a backslash before a "{{" always escapes it,
+    since no token it could belong to ends in a backslash.
     """
     spans = []
     i = 0
-    n = len(text)
-    while i < n:
-        if text.startswith(_ESCAPED_OPEN, i):
-            i += 3
+    while (start := text.find(_OPEN, i)) >= 0:
+        i = start + 2
+        if text[start - 1 : start] == "\\":
             continue
-        if not text.startswith(_OPEN, i):
-            i += 1
-            continue
-        start = i
-        i += 2
         depth = 1
-        while i < n and depth:
-            if text.startswith(_ESCAPED_OPEN, i):
-                i += 3
-            elif text.startswith(_OPEN, i):
-                depth += 1
-                i += 2
-            elif text.startswith(_CLOSE, i):
+        close = -1
+        while depth:
+            if close < i:
+                close = text.find(_CLOSE, i)
+                if close < 0:
+                    raise MalformedTemplate(
+                        f"unbalanced braces: template opened at index {start} never closes"
+                    )
+            opener = text.find(_OPEN, i, close)
+            if opener < 0:
                 depth -= 1
-                i += 2
+                i = close + 2
             else:
-                i += 1
-        if depth:
-            raise MalformedTemplate(
-                f"unbalanced braces: template opened at index {start} never closes"
-            )
+                if text[opener - 1] != "\\":  # an escaped "{{" does not nest
+                    depth += 1
+                i = opener + 2
         spans.append(_Span(start, i, text[start + 2 : i - 2]))
     return spans
 

@@ -4,15 +4,16 @@ import threading
 from urllib.parse import urlencode
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fastgate
 from fastgate import build_app
 from fastgate.config import Config
 from fastgate.errors import FastError
 from fastgate.http_gateway import WireRequest, WireResponse
 from fastgate.lambda_machine import FunctionValue
 from fastgate.template_resolver import TemplateResolver
-from fastgate.values import canonical_json
+from fastgate.values import canonical_json, validate_value
 
 from conftest import Client
 from test_values import json_values
@@ -684,6 +685,90 @@ def test_wsgi_query_string_parsing(bundle):
         bundle.gateway, "GET", "/lambda/basic_arithmetic/add", query="a=1&b=2"
     )
     assert status == "200 OK" and payload == b"3"
+
+
+# text rich in what JSON escapes: non-ASCII, lone surrogates, controls
+_WIRE_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff\u00e9\u4e2d\x00\"\\"),
+    max_size=8,
+)
+_wire_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e-05])
+    | _WIRE_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_WIRE_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_wire_values)
+@example(value=-0.0)
+@example(value=1e-05)
+@example(value=[2**64, -(2**70)])
+@example(value={"z": {"y": "\u00e9\ud800", "b": [1e-05, -0.0]}, "a": {"k": None, "c": True}})
+@example(value=_nested(63, {"b": 1, "a": 2**64}))  # 64 deep, the limit
+@example(value={"\ud800\udfff": None, "\udfff": None})
+def test_a_resource_get_answers_the_canonical_bytes_of_the_posted_value(value):
+    # the JSON value the draw denotes: a str holding a high and a low
+    # surrogate side by side is one astral character once it is JSON
+    value = json.loads(json.dumps(value))
+    app = build_app()
+    try:
+        # the raw UTF-8 form where it exists, else the escaped one (lone surrogates)
+        try:
+            raw = json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raw = json.dumps(value).encode("utf-8")
+        if isinstance(value, dict) and set(value) == {"data"}:
+            raw = b'{"data":' + raw + b"}"  # an envelope, so the reply is the whole value
+        assert _wsgi_call(app.gateway, "POST", "/rest/drawn", body=raw)[0] == "200 OK"
+        status, headers, payload = _wsgi_call(app.gateway, "GET", "/rest/drawn")
+        assert status == "200 OK" and headers["Content-Length"] == str(len(payload))
+        reparsed = canonical_json(json.loads(app.store.get_text("/rest/drawn")))
+        assert payload == canonical_json(value).encode("utf-8") == reparsed.encode("utf-8")
+    finally:
+        app.machine.close()
+
+
+def test_a_wire_post_walks_its_body_once(bundle, monkeypatch):
+    walks = []
+
+    def counting_validate(value, **kwargs):
+        walks.append(kwargs.get("what", "value"))
+        validate_value(value, **kwargs)
+
+    for module in (fastgate.values, fastgate.rest_machine, fastgate.lambda_machine,
+                   fastgate.query_language):
+        monkeypatch.setattr(module, "validate_value", counting_validate)
+    book = [[100 + i, 1 + i % 3, 100, 0.2 + i / 10_000] for i in range(1000)]
+    for body in (book, {"data": book}):
+        walks.clear()
+        raw = json.dumps(body).encode("utf-8")
+        assert _wsgi_call(bundle.gateway, "POST", "/rest/book", body=raw)[0] == "200 OK"
+        assert walks == ["request body"]
+    assert bundle.store.get_resource("/rest/book") == book
+
+
+def test_a_computed_result_past_the_depth_limit_is_still_refused(bundle):
+    # each result is 64 deep, the most a function may return; storing it
+    # under an fns key or in a mapped list adds the 65th level
+    bundle.machine.register_package("deep", {"nest": lambda x: _nested(64, x)})
+    client = Client(bundle.gateway)
+    refused = (400, {"message": "value exceeds nesting depth 64"})
+    fast = {"data": {"x": 1}, "fns": ["nest"], "to_uri": "/rest/deep"}
+    assert client.post("/fast/deep", json=fast) == refused
+    mapped = {"q": "Post Map [nest] from deep on [1] to /rest/deep"}
+    assert client.post("/query", json=mapped) == refused
+    assert client.get("/rest/deep") == (404, {"message": "Resource not found"})
+    stored = client.post("/query", json={"q": "Post Apply nest from deep on 1 to /rest/deep"})
+    assert stored == (200, {"status": "success"})
+    assert client.get("/rest/deep") == (200, _nested(64, 1))
 
 
 def test_purity_checked_gateway_rejects_impure_functions():

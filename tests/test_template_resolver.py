@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fastgate.builtin_packages import register_builtins
 from fastgate.errors import (
@@ -11,7 +11,7 @@ from fastgate.errors import (
 )
 from fastgate.lambda_machine import LambdaMachine
 from fastgate.rest_machine import ResourceStore
-from fastgate.template_resolver import TemplateResolver, scan
+from fastgate.template_resolver import TemplateResolver, _find_spans, _Span, scan
 
 
 @pytest.fixture
@@ -206,3 +206,58 @@ def test_resolve_equals_manual_composition(payload):
     assert scan(resolved) == []
     assert resolver.resolve(resolved) == resolved
     machine.close()
+
+
+def _find_spans_by_character(text):
+    """The span scan as it was before it jumped with str.find, verbatim but
+    for its constants inlined: one character at a time, up to three
+    startswith calls per character."""
+    spans = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("\\{{", i):
+            i += 3
+            continue
+        if not text.startswith("{{", i):
+            i += 1
+            continue
+        start = i
+        i += 2
+        depth = 1
+        while i < n and depth:
+            if text.startswith("\\{{", i):
+                i += 3
+            elif text.startswith("{{", i):
+                depth += 1
+                i += 2
+            elif text.startswith("}}", i):
+                depth -= 1
+                i += 2
+            else:
+                i += 1
+        if depth:
+            raise MalformedTemplate(
+                f"unbalanced braces: template opened at index {start} never closes"
+            )
+        spans.append(_Span(start, i, text[start + 2 : i - 2]))
+    return spans
+
+
+def _spans_or_message(find, text):
+    try:
+        return find(text)
+    except MalformedTemplate as exc:
+        return exc.message
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="{}\\ a/", max_size=40))
+@example("\\{{{{a}}")
+@example("{{{{\\{{}}}}}}}}")
+@example("{{a}}}}{{")
+@example("\\\\{{x}}")
+def test_span_scan_matches_the_character_scan(text):
+    assert _spans_or_message(_find_spans, text) == _spans_or_message(
+        _find_spans_by_character, text
+    )

@@ -330,6 +330,21 @@ def test_a_later_http1_minor_version_is_served_as_http11(served):
              "an HTTP/1.1 request needs exactly one Host")
 
 
+def test_a_reply_that_cannot_be_encoded_gets_the_fixed_500_on_a_live_connection(served, capsys):
+    served.app.gateway.handle_query = lambda req: float("nan")  # no JSON for it
+    replies = _replies(_send(served.address, _request(target="/query?q=1") + _PROBE))
+    error = b'{"message":"internal server error"}'
+    assert replies == [
+        ("HTTP/1.1 500 Internal Server Error",
+         {"Content-Type": "application/json", "Content-Length": str(len(error))}, error),
+        # the same connection serves the next request
+        ("HTTP/1.1 200 OK",
+         {"Content-Type": "application/json", "Content-Length": "15", "Connection": "close"},
+         b'{"status":"ok"}'),
+    ]
+    assert "ValueError: Out of range float values" in capsys.readouterr().err
+
+
 # --- the differential test against the old transport
 
 
