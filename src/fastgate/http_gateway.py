@@ -40,7 +40,7 @@ from .errors import (
     PayloadTooLarge,
     UnserializableResult,
 )
-from .lambda_machine import FunctionRef, FunctionValue
+from .lambda_machine import FunctionHandle, FunctionRef, FunctionValue
 from .rest_machine import DEFAULT_MAX_BYTES, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
@@ -221,14 +221,13 @@ class Gateway:
         segments = self._tail_segments(req.path, "/lambda/")
         if len(segments) == 1:
             handle = self.machine.resolve_unique(segments[0])
-            ref = FunctionRef(handle.module, handle.name)
         elif len(segments) == 2:
-            ref = FunctionRef(segments[0], segments[1])
-            self.machine.lookup(ref)  # fail fast with 404 before reading args
+            # fail fast with 404 before reading args
+            handle = self.machine.lookup(FunctionRef(segments[0], segments[1]))
         else:
             raise NotFound("Not found")
         to_do, payload = self._argument_payload(*self._call_arguments(req))
-        return self._run_wire(ref, to_do, payload)
+        return self._run_wire(handle, to_do, payload)
 
     def handle_fast(self, req: WireRequest) -> Value:
         segments = self._tail_segments(req.path, "/fast/")
@@ -253,9 +252,11 @@ class Gateway:
         if fn_names:
             result: Value = {}
             for name in fn_names:
-                result[name] = self._run_wire(FunctionRef(module, name), to_do, payload)
+                handle = self.machine.lookup(FunctionRef(module, name))
+                result[name] = self._run_wire(handle, to_do, payload)
         else:
-            result = self._run_wire(FunctionRef(module, segments[1]), to_do, payload)
+            handle = self.machine.lookup(FunctionRef(module, segments[1]))
+            result = self._run_wire(handle, to_do, payload)
         if to_uri is None:
             return result
         self.store.post_resource(normalize_uri(to_uri), result)
@@ -350,8 +351,8 @@ class Gateway:
             return to_do, self.resolver.fetch(uri)
         return to_do, self.resolver.resolve(data)
 
-    def _run_wire(self, ref: FunctionRef, to_do: str, payload: Value) -> Value:
-        result = self.machine.invoke(ref, to_do, payload)
+    def _run_wire(self, handle: FunctionHandle, to_do: str, payload: Value) -> Value:
+        result = self.machine.run(handle, to_do, payload)
         if isinstance(result, FunctionValue):
             raise UnserializableResult(
                 "the result is a function value and cannot be returned over the wire"

@@ -3,8 +3,7 @@
 Calls have no side effects and are deterministic: the same request yields
 the same serialized result every time, so any two requests commute.  The
 four dispatch modes are apply, map, reduce and filter.  Map runs on the
-calling thread; fanning it out to map_workers > 1 threads is opt-in, and the
-server does not, since pure-Python bodies cannot run in parallel under the GIL.
+calling thread, since pure-Python bodies cannot run in parallel under the GIL.
 
 Every single call goes through `bind_and_call`, and its checks are made
 once where they can be: a handle's array arity bounds are computed at
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import inspect
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Optional
@@ -237,11 +235,12 @@ class LambdaMachine:
     handlers may invoke concurrently.
     """
 
-    def __init__(self, map_workers: int = 1, check_purity: bool = False):
-        self.map_workers = max(1, int(map_workers))
+    # perfbench/traced_serve.py rebinds this, never calls it; it goes when ROADMAP item 1 stops that.
+    _executor = None
+
+    def __init__(self, check_purity: bool = False):
         self.check_purity = check_purity
         self._packages: dict[str, dict[str, FunctionHandle]] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # --- registry
 
@@ -323,7 +322,7 @@ class LambdaMachine:
         """Resolve `ref`, then dispatch over `data`."""
         return self.run(self.lookup(ref), combinator, data)
 
-    # perfbench/traced_serve.py wraps this name; the alias goes when it stops.
+    # perfbench/traced_serve.py wraps this name; it goes when ROADMAP item 1 stops that.
     invoke_checked = invoke
 
     # --- combinators
@@ -335,37 +334,26 @@ class LambdaMachine:
         return target.min_args, target.max_args
 
     def _map(self, target, data: list) -> list:
-        if self.map_workers > 1 and len(data) > 1:
-            def one(indexed):
-                index, element = indexed
-                try:
-                    return self.bind_and_call(target, element)
-                except Exception as exc:
-                    raise _element_error(exc, "map", index) from None
-
-            results = list(self._executor().map(one, enumerate(data)))
-            functions = any(isinstance(r, FunctionValue) for r in results)
-        else:
-            fn, call = target.fn, self.bind_and_call
-            low, high = self._spread_lengths(target)
-            results, functions = [], False
-            try:
-                for element in data:
-                    if type(element) is list and low <= len(element) <= high:
-                        try:
-                            result = fn(*element)
-                        except _BODY_ERRORS as exc:
-                            raise _body_error(target, exc) from None
-                        if type(result) is not float or not isfinite(result):
-                            result = _checked_result(result)
-                            functions = functions or isinstance(result, FunctionValue)
-                    else:
-                        result = call(target, element)
+        fn, call = target.fn, self.bind_and_call
+        low, high = self._spread_lengths(target)
+        results, functions = [], False
+        try:
+            for element in data:
+                if type(element) is list and low <= len(element) <= high:
+                    try:
+                        result = fn(*element)
+                    except _BODY_ERRORS as exc:
+                        raise _body_error(target, exc) from None
+                    if type(result) is not float or not isfinite(result):
+                        result = _checked_result(result)
                         functions = functions or isinstance(result, FunctionValue)
-                    results.append(result)
-            except Exception as exc:
-                # the failing element is the one after the last result
-                raise _element_error(exc, "map", len(results)) from None
+                else:
+                    result = call(target, element)
+                    functions = functions or isinstance(result, FunctionValue)
+                results.append(result)
+        except Exception as exc:
+            # the failing element is the one after the last result
+            raise _element_error(exc, "map", len(results)) from None
         # a function value is only meaningful as a whole result, never
         # as an array element nothing can consume
         if functions:
@@ -418,22 +406,6 @@ class LambdaMachine:
         except Exception as exc:
             raise _element_error(exc, "filter", index) from None
         return kept
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.map_workers)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 def _serialized(value) -> Optional[str]:

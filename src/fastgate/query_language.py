@@ -33,7 +33,7 @@ from typing import Optional, Union
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import FunctionRef, FunctionValue
 from .rest_machine import normalize_uri
-from .values import MAX_DEPTH, Value, validate_value
+from .values import MAX_DEPTH, Value, reject_constant, validate_value
 
 KEYWORDS = frozenset(
     {
@@ -59,11 +59,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _URI_RE = re.compile(r"/[^\s,()\[\]]+")
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-finite JSON constant {token}")
-
-
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=reject_constant)
 
 
 # --- AST

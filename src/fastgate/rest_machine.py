@@ -59,7 +59,7 @@ class ResourceStore:
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
         self._entries: dict[str, str] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def get_resource(self, uri: str) -> Value:
         """Return a fresh copy of the stored value, or raise NotFound."""

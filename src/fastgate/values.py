@@ -59,6 +59,7 @@ def _validate(value: Any, budget: int, what: str) -> None:
         raise InvalidValue(f"{what} contains a non-JSON type: {type(value).__name__}")
 
 
+# perfbench/traced_serve.py wraps this name; it goes when ROADMAP item 1 stops that.
 def copy_value(value: Value) -> Value:
     return copy.deepcopy(value)
 
@@ -68,14 +69,15 @@ def canonical_json(value: Value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _reject_constant(name: str) -> None:
+def reject_constant(name: str) -> None:
+    """json's parse_constant hook: NaN, Infinity and -Infinity are not values."""
     raise ValueError(f"non-finite JSON constant {name} not allowed")
 
 
 def loads_strict(text: str | bytes, *, what: str = "payload", depth: int = MAX_DEPTH) -> Value:
     """Parse JSON, rejecting NaN/Infinity and enforcing value invariants."""
     try:
-        value = json.loads(text, parse_constant=_reject_constant)
+        value = json.loads(text, parse_constant=reject_constant)
     except ValueError as exc:
         raise InvalidValue(f"malformed JSON in {what}: {exc}") from None
     except RecursionError:

@@ -47,9 +47,7 @@ class Client:
 
 @pytest.fixture
 def bundle():
-    app = build_app()
-    yield app
-    app.machine.close()
+    return build_app()
 
 
 @pytest.fixture

@@ -33,11 +33,8 @@ def test_available_packages_is_sorted_and_complete():
 
 def test_register_builtins_rejects_unknown_names():
     machine = LambdaMachine()
-    try:
-        with pytest.raises(ModuleNotAvailable):
-            register_builtins(machine, names=["pricer", "nope"])
-    finally:
-        machine.close()
+    with pytest.raises(ModuleNotAvailable):
+        register_builtins(machine, names=["pricer", "nope"])
 
 
 # --- basic arithmetic

@@ -85,18 +85,12 @@ def test_build_app_loads_existing_store(tmp_path):
     seeded.post_resource("/rest/books/1", {"title": "T"})
     seeded.save(str(path))
     app = build_app(Config(store_path=str(path)))
-    try:
-        assert app.store.get_resource("/rest/books/1") == {"title": "T"}
-    finally:
-        app.machine.close()
+    assert app.store.get_resource("/rest/books/1") == {"title": "T"}
 
 
 def test_build_app_with_missing_store_file_starts_empty(tmp_path):
     app = build_app(Config(store_path=str(tmp_path / "absent.json")))
-    try:
-        assert app.store.canonical_dump() == "{}"
-    finally:
-        app.machine.close()
+    assert app.store.canonical_dump() == "{}"
 
 
 # --- serve: configuration failures exit 1 before binding
@@ -154,7 +148,6 @@ def live_server():
     yield f"http://127.0.0.1:{port}", app
     server.shutdown()
     server.server_close()
-    app.machine.close()
 
 
 def _free_port() -> int:
@@ -610,7 +603,6 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
         release.set()
         idle.close()
         busy.close()
-        app.machine.close()
 
 
 # --- the server process end to end

@@ -11,7 +11,7 @@ from fastgate import build_app
 from fastgate.config import Config
 from fastgate.errors import FastError
 from fastgate.http_gateway import WireRequest, WireResponse
-from fastgate.lambda_machine import FunctionValue
+from fastgate.lambda_machine import FunctionRef, FunctionValue
 from fastgate.template_resolver import TemplateResolver
 from fastgate.values import canonical_json, validate_value
 
@@ -283,13 +283,10 @@ def test_template_depth_limit_maps_to_500(client):
 
 def test_template_chain_deeper_than_the_stack_is_depth_exceeded():
     app = build_app(Config(depth_limit=5000))
-    try:
-        chain = "{{" * 3000 + "/rest/x" + "}}" * 3000
-        status, body = Client(app.gateway).post(
-            "/lambda/basic_arithmetic/add", json={"data": chain}
-        )
-    finally:
-        app.machine.close()
+    chain = "{{" * 3000 + "/rest/x" + "}}" * 3000
+    status, body = Client(app.gateway).post(
+        "/lambda/basic_arithmetic/add", json={"data": chain}
+    )
     assert (status, body) == (500, {"message": "template nesting is too deep to resolve"})
 
 
@@ -719,21 +716,18 @@ def test_a_resource_get_answers_the_canonical_bytes_of_the_posted_value(value):
     # surrogate side by side is one astral character once it is JSON
     value = json.loads(json.dumps(value))
     app = build_app()
+    # the raw UTF-8 form where it exists, else the escaped one (lone surrogates)
     try:
-        # the raw UTF-8 form where it exists, else the escaped one (lone surrogates)
-        try:
-            raw = json.dumps(value, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raw = json.dumps(value).encode("utf-8")
-        if isinstance(value, dict) and set(value) == {"data"}:
-            raw = b'{"data":' + raw + b"}"  # an envelope, so the reply is the whole value
-        assert _wsgi_call(app.gateway, "POST", "/rest/drawn", body=raw)[0] == "200 OK"
-        status, headers, payload = _wsgi_call(app.gateway, "GET", "/rest/drawn")
-        assert status == "200 OK" and headers["Content-Length"] == str(len(payload))
-        reparsed = canonical_json(json.loads(app.store.get_text("/rest/drawn")))
-        assert payload == canonical_json(value).encode("utf-8") == reparsed.encode("utf-8")
-    finally:
-        app.machine.close()
+        raw = json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raw = json.dumps(value).encode("utf-8")
+    if isinstance(value, dict) and set(value) == {"data"}:
+        raw = b'{"data":' + raw + b"}"  # an envelope, so the reply is the whole value
+    assert _wsgi_call(app.gateway, "POST", "/rest/drawn", body=raw)[0] == "200 OK"
+    status, headers, payload = _wsgi_call(app.gateway, "GET", "/rest/drawn")
+    assert status == "200 OK" and headers["Content-Length"] == str(len(payload))
+    reparsed = canonical_json(json.loads(app.store.get_text("/rest/drawn")))
+    assert payload == canonical_json(value).encode("utf-8") == reparsed.encode("utf-8")
 
 
 def test_a_wire_post_walks_its_body_once(bundle, monkeypatch):
@@ -771,62 +765,75 @@ def test_a_computed_result_past_the_depth_limit_is_still_refused(bundle):
     assert client.get("/rest/deep") == (200, _nested(64, 1))
 
 
+def test_a_composed_reply_may_nest_past_the_depth_limit(bundle):
+    # the bound holds for each value that enters and each function result,
+    # not for a reply composed from them: a map's array and an fns object
+    # each add a level above their results
+    bundle.machine.register_package("deep", {"nest": lambda x: _nested(64, x)})
+    client = Client(bundle.gateway)
+    mapped = client.post("/query", json={"q": "Map [nest] from deep on [1]"})
+    assert mapped == (200, _nested(65, 1))
+    batched = client.post("/fast/deep", json={"data": {"x": 1}, "fns": ["nest"]})
+    assert batched == (200, {"nest": _nested(64, 1)})
+    # such a reply cannot be posted back as it is
+    assert client.post("/rest/deep", json=_nested(65, 1)) == (
+        400, {"message": "request body exceeds nesting depth 64"}
+    )
+
+
 def test_purity_checked_gateway_rejects_impure_functions():
     from fastgate import Config
 
     app = build_app(Config(check_purity=True))
-    try:
-        counter = {"n": 0}
+    counter = {"n": 0}
 
-        def bump(x):
-            counter["n"] += 1
-            return x + counter["n"]
+    def bump(x):
+        counter["n"] += 1
+        return x + counter["n"]
 
-        app.machine.register_package("impure_pkg", {"bump": bump})
-        client = Client(app.gateway)
-        status, body = client.post("/lambda/impure_pkg/bump", json={"data": [1]})
-        assert status == 500
-        assert body == {
-            "message": "purity check failed: impure_pkg.bump returned differing results"
-        }
-        # pure functions still answer normally under the checked mode
-        assert client.post("/lambda/basic_arithmetic/add", json={"data": [1, 2]}) == (200, 3)
-        # and a function value gets the same answer as without the check
-        assert client.post("/lambda/higher_order_arithmetic/add", json={"data": [2]}) == (
-            500,
-            {"message": "the result is a function value and cannot be returned over the wire"},
-        )
-        differing = "purity check failed: impure_pkg.bump returned differing results"
-        # queries, map elements and template splices are checked too
-        assert client.post("/query", json={"q": "Apply bump from impure_pkg on 1"}) == (
-            500,
-            {"message": differing},
-        )
-        assert client.post("/query", json={"q": "Map bump from impure_pkg on [1,2]"}) == (
-            500,
-            {"message": "map element 0: " + differing},
-        )
-        spliced = {"data": ["{{/lambda/impure_pkg/bump?x=1}}", 1]}
-        assert client.post("/lambda/basic_arithmetic/add", json=spliced) == (
-            500,
-            {"message": differing},
-        )
+    app.machine.register_package("impure_pkg", {"bump": bump})
+    client = Client(app.gateway)
+    status, body = client.post("/lambda/impure_pkg/bump", json={"data": [1]})
+    assert status == 500
+    assert body == {
+        "message": "purity check failed: impure_pkg.bump returned differing results"
+    }
+    # pure functions still answer normally under the checked mode
+    assert client.post("/lambda/basic_arithmetic/add", json={"data": [1, 2]}) == (200, 3)
+    # and a function value gets the same answer as without the check
+    assert client.post("/lambda/higher_order_arithmetic/add", json={"data": [2]}) == (
+        500,
+        {"message": "the result is a function value and cannot be returned over the wire"},
+    )
+    differing = "purity check failed: impure_pkg.bump returned differing results"
+    # queries, map elements and template splices are checked too
+    assert client.post("/query", json={"q": "Apply bump from impure_pkg on 1"}) == (
+        500,
+        {"message": differing},
+    )
+    assert client.post("/query", json={"q": "Map bump from impure_pkg on [1,2]"}) == (
+        500,
+        {"message": "map element 0: " + differing},
+    )
+    spliced = {"data": ["{{/lambda/impure_pkg/bump?x=1}}", 1]}
+    assert client.post("/lambda/basic_arithmetic/add", json=spliced) == (
+        500,
+        {"message": differing},
+    )
 
-        def mut(d):
-            d["seen"] = True
-            return d.get("x", 0)
+    def mut(d):
+        d["seen"] = True
+        return d.get("x", 0)
 
-        # the same result twice, but the first call wrote into its argument
-        app.machine.register_package("mutating_pkg", {"mut": mut})
-        assert client.post("/lambda/mutating_pkg/mut", json={"data": {"d": {"x": 3}}}) == (
-            500,
-            {"message": "purity check failed: mutating_pkg.mut changed its input"},
-        )
-        # higher-order calls still work under the check
-        query = "Get Apply (Apply add on 2) from higher_order_arithmetic on 3"
-        assert client.post("/query", json={"q": query}) == (200, 5)
-    finally:
-        app.machine.close()
+    # the same result twice, but the first call wrote into its argument
+    app.machine.register_package("mutating_pkg", {"mut": mut})
+    assert client.post("/lambda/mutating_pkg/mut", json={"data": {"d": {"x": 3}}}) == (
+        500,
+        {"message": "purity check failed: mutating_pkg.mut changed its input"},
+    )
+    # higher-order calls still work under the check
+    query = "Get Apply (Apply add on 2) from higher_order_arithmetic on 3"
+    assert client.post("/query", json={"q": query}) == (200, 5)
 
 
 def test_handle_never_raises(bundle):
@@ -863,6 +870,17 @@ def test_an_unexpected_error_answers_a_fixed_500_and_logs_its_traceback(bundle, 
     )
 
 
+def test_a_lambda_call_looks_its_function_up_once(bundle, client, monkeypatch):
+    lookups = []
+    lookup = bundle.machine.lookup
+    monkeypatch.setattr(bundle.machine, "lookup", lambda ref: lookups.append(ref) or lookup(ref))
+    assert client.post("/lambda/basic_arithmetic/add", json={"data": [1, 2]}) == (200, 3)
+    assert lookups == [FunctionRef("basic_arithmetic", "add")]
+    assert client.post("/lambda/basic_arithmetic/nope", json={"data": [1]}) == (
+        404, {"message": "Function not found: basic_arithmetic.nope"}
+    )
+
+
 def test_served_map_runs_on_the_request_thread(bundle, client, monkeypatch):
     book = [[90 + i % 20, 0.5 + i % 3, 100.0, 0.2] for i in range(1000)]
     assert client.post("/rest/book", json={"data": book}) == (200, {"status": "success"})
@@ -870,7 +888,7 @@ def test_served_map_runs_on_the_request_thread(bundle, client, monkeypatch):
     real_start = threading.Thread.start
 
     def start(thread):
-        started.append(thread.name)  # a map pool's workers are ThreadPoolExecutor-N_M
+        started.append(thread.name)  # a thread started to run map elements
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)

@@ -5,7 +5,7 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fastgate.builtin_packages import register_builtins
 from fastgate import lambda_machine
@@ -44,8 +44,8 @@ TEST_FUNCTIONS = {
 }
 
 
-def make_machine(workers=1):
-    machine = LambdaMachine(map_workers=workers)
+def make_machine():
+    machine = LambdaMachine()
     register_builtins(machine)
     machine.register_package("checks", TEST_FUNCTIONS)
     return machine
@@ -53,9 +53,7 @@ def make_machine(workers=1):
 
 @pytest.fixture
 def machine():
-    m = make_machine()
-    yield m
-    m.close()
+    return make_machine()
 
 
 def test_registry_listing_and_duplicates(machine):
@@ -232,15 +230,12 @@ def test_purity_check_catches_impure_functions():
     tick = machine.lookup(FunctionRef("impure_pkg", "tick"))
     with pytest.raises(PurityViolation, match="^map element 0: purity check failed"):
         machine.run(tick, "map", [[], []])
-    machine.close()
 
 
-# machines shared by the property tests below; registration is startup-only
-_SEQ = make_machine(workers=1)
-_PAR = make_machine(workers=4)
-_ADD = _SEQ.lookup(FunctionRef("basic_arithmetic", "add"))
-_ADD_PAR = _PAR.lookup(FunctionRef("basic_arithmetic", "add"))
-_POS = _SEQ.lookup(FunctionRef("checks", "is_positive"))
+# a machine shared by the property tests below; registration is startup-only
+_MACHINE = make_machine()
+_ADD = _MACHINE.lookup(FunctionRef("basic_arithmetic", "add"))
+_POS = _MACHINE.lookup(FunctionRef("checks", "is_positive"))
 
 numbers = st.integers(min_value=-(10**6), max_value=10**6) | st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False
@@ -251,27 +246,19 @@ numbers = st.integers(min_value=-(10**6), max_value=10**6) | st.floats(
 def test_map_matches_sequential_oracle(pairs):
     data = [[a, b] for a, b in pairs]
     expected = [a + b for a, b in pairs]
-    assert _SEQ.run(_ADD, "map", data) == expected
-    assert _PAR.run(_ADD_PAR, "map", data) == expected
+    assert _MACHINE.run(_ADD, "map", data) == expected
 
 
 @given(st.lists(numbers, min_size=1, max_size=6))
 def test_reduce_matches_functools(values):
-    assert _SEQ.run(_ADD, "reduce", values) == functools.reduce(
+    assert _MACHINE.run(_ADD, "reduce", values) == functools.reduce(
         lambda a, b: a + b, values
     )
 
 
 @given(st.lists(numbers, max_size=6))
 def test_filter_matches_comprehension(values):
-    assert _SEQ.run(_POS, "filter", values) == [v for v in values if v > 0]
-
-
-@settings(max_examples=30)
-@given(st.lists(st.tuples(numbers, numbers), min_size=2, max_size=12))
-def test_parallel_map_is_order_preserving(pairs):
-    data = [[a, b] for a, b in pairs]
-    assert _PAR.run(_ADD_PAR, "map", data) == _SEQ.run(_ADD, "map", data)
+    assert _MACHINE.run(_POS, "filter", values) == [v for v in values if v > 0]
 
 
 # --- dispatch: the check-once fast paths against the full checks

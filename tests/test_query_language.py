@@ -5,6 +5,7 @@ from fastgate.builtin_packages import register_builtins
 from fastgate.errors import (
     AmbiguousFunction,
     DomainError,
+    InvalidValue,
     NotFound,
     ParseError,
     UnserializableResult,
@@ -21,7 +22,7 @@ from fastgate.query_language import (
     parse,
 )
 from fastgate.rest_machine import ResourceStore
-from fastgate.values import MAX_DEPTH
+from fastgate.values import MAX_DEPTH, loads_strict
 
 GOLDEN = {
     "get_weather for latitude=35.05 and longitude =118.25": SimpleCall(
@@ -127,6 +128,19 @@ def test_parse_errors(text):
         parse(text)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_get_the_message_of_a_body(constant):
+    # one parse_constant hook, shared with loads_strict
+    with pytest.raises(InvalidValue) as body:
+        loads_strict(f"[{constant}]")
+    with pytest.raises(ParseError) as query:
+        parse(f"Apply f on [{constant}]")
+    assert body.value.message.endswith(f"non-finite JSON constant {constant} not allowed")
+    assert query.value.message == (
+        f"invalid JSON value: non-finite JSON constant {constant} not allowed at position 11"
+    )
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("Map price on")
@@ -160,8 +174,7 @@ def engine():
     machine.register_package(
         "checks", {"double": lambda x: x * 2, "is_positive": lambda x: x > 0}
     )
-    yield QueryEngine(machine, store), store, machine
-    machine.close()
+    return QueryEngine(machine, store), store, machine
 
 
 def test_golden_query_evaluates_to_five(engine):
@@ -202,16 +215,13 @@ def test_golden_reduce_runs_when_names_are_unique():
     store = ResourceStore()
     machine = LambdaMachine()
     register_builtins(machine, names=["basic_arithmetic", "pricer"])
-    try:
-        store.post_resource("/rest/trades", [[100, 1, 20, 0.2], [100, 1, 100, 0.2]])
-        eng = QueryEngine(machine, store)
-        price = machine.resolve_unique("price")
-        expect = machine.bind_and_call(price, [100, 1, 20, 0.2]) + machine.bind_and_call(
-            price, [100, 1, 100, 0.2]
-        )
-        assert eng.run("Reduce add on Map [price] on trades") == expect
-    finally:
-        machine.close()
+    store.post_resource("/rest/trades", [[100, 1, 20, 0.2], [100, 1, 100, 0.2]])
+    eng = QueryEngine(machine, store)
+    price = machine.resolve_unique("price")
+    expect = machine.bind_and_call(price, [100, 1, 20, 0.2]) + machine.bind_and_call(
+        price, [100, 1, 100, 0.2]
+    )
+    assert eng.run("Reduce add on Map [price] on trades") == expect
 
 
 def test_unqualified_names_must_be_unique(engine):

@@ -377,4 +377,3 @@ def test_rest_is_linearizable_per_uri():
                 assert linearizable(history), (uri, history)
     finally:
         sys.setswitchinterval(switch)
-        app.machine.close()

@@ -20,8 +20,7 @@ def env():
     machine = LambdaMachine()
     register_builtins(machine)
     resolver = TemplateResolver(store, machine)
-    yield store, resolver
-    machine.close()
+    return store, resolver
 
 
 def test_scan_finds_rest_refs():
@@ -154,7 +153,6 @@ def test_depth_limit_must_be_positive(env):
     machine = LambdaMachine()
     with pytest.raises(InvalidValue):
         TemplateResolver(store, machine, depth_limit=0)
-    machine.close()
 
 
 def test_resolution_of_pure_refs_never_mutates_the_store(env):
@@ -205,7 +203,6 @@ def test_resolve_equals_manual_composition(payload):
     # a second pass finds nothing left to do
     assert scan(resolved) == []
     assert resolver.resolve(resolved) == resolved
-    machine.close()
 
 
 def _find_spans_by_character(text):

@@ -188,7 +188,6 @@ class _Served:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
-        self.app.machine.close()
 
 
 @pytest.fixture
