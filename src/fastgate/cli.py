@@ -14,6 +14,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 from contextlib import suppress
 from email.utils import formatdate
 from http import HTTPStatus
@@ -73,7 +74,8 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         self.connection.settimeout(IDLE_TIMEOUT_S)
-        with suppress(TimeoutError):  # the client went silent: drop it without a reply
+        # the client went silent, or reset the connection: drop it without a reply or a log line
+        with suppress(TimeoutError, ConnectionError):
             while not self.server.closing and self._serve_one():
                 pass
 
@@ -139,7 +141,7 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
 
     def _send(self, status: str, headers: list, body: bytes, close: bool) -> None:
         # One write: a second small one would wait on the client's delayed ACK.
-        head = [f"HTTP/1.1 {status}", f"Date: {formatdate(usegmt=True)}"]
+        head = [f"HTTP/1.1 {status}", self.server.date_line()]
         head += [f"{name}: {value}" for name, value in headers]
         if close and ("Connection", "close") not in headers:
             head.append("Connection: close")
@@ -160,9 +162,20 @@ class GatewayServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple, app):
         self.app = app
         self.closing = False
+        self._date = (0, "")  # the last (second, Date line)
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _GatewayHandler)
+
+    def date_line(self) -> str:
+        """The Date header line for now, formatted once a second, its resolution
+        (RFC 9110 section 6.6.1)."""
+        second, line = self._date  # read once, so a thread racing a refresh sends a whole pair
+        now = int(time.time())
+        if now != second:
+            line = f"Date: {formatdate(now, usegmt=True)}"
+            self._date = (now, line)
+        return line
 
     def process_request(self, request, client_address):
         with self._connections_lock:

@@ -123,7 +123,7 @@ class Gateway:
             return _error(500, "internal server error")
 
     def wsgi_app(self, environ, start_response):
-        method = environ.get("REQUEST_METHOD", "GET").upper()
+        method = environ.get("REQUEST_METHOD", "GET")  # case-sensitive (RFC 9110 9.1)
         path = environ.get("PATH_INFO", "/")
         query = dict(
             parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)

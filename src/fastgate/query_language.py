@@ -33,7 +33,7 @@ from typing import Optional, Union
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import FunctionRef, FunctionValue
 from .rest_machine import normalize_uri
-from .values import MAX_DEPTH, Value, reject_constant, validate_value
+from .values import DECODER, MAX_DEPTH, Value, validate_value
 
 KEYWORDS = frozenset(
     {
@@ -57,9 +57,6 @@ COMBINATOR_WORDS = ("apply", "map", "reduce", "filter")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _URI_RE = re.compile(r"/[^\s,()\[\]]+")
-
-
-_DECODER = json.JSONDecoder(parse_constant=reject_constant)
 
 
 # --- AST
@@ -164,7 +161,7 @@ class _Parser:
     def json_value(self) -> Value:
         self._ws()
         try:
-            value, end = _DECODER.raw_decode(self.text, self.pos)
+            value, end = DECODER.raw_decode(self.text, self.pos)
         except ValueError as exc:
             raise self.error(f"invalid JSON value: {exc}", {"JSON value"}) from None
         except RecursionError:

@@ -3,6 +3,9 @@
 A value is null, a boolean, a finite number, a string, or an array/object
 of values, nested at most MAX_DEPTH deep.  NaN and infinity are rejected
 at every boundary so they can neither enter nor leave the system.
+
+The strict decoder and the canonical encoder are built once, at import,
+and shared by every call and thread: neither keeps state between calls.
 """
 
 from __future__ import annotations
@@ -64,20 +67,35 @@ def copy_value(value: Value) -> Value:
     return copy.deepcopy(value)
 
 
-def canonical_json(value: Value) -> str:
-    """Deterministic serialization: sorted keys, compact separators, no NaN."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def reject_constant(name: str) -> None:
     """json's parse_constant hook: NaN, Infinity and -Infinity are not values."""
     raise ValueError(f"non-finite JSON constant {name} not allowed")
 
 
+DECODER = json.JSONDecoder(parse_constant=reject_constant)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def canonical_json(value: Value) -> str:
+    """Deterministic serialization: sorted keys, compact separators, no NaN."""
+    return _ENCODER.encode(value)
+
+
 def loads_strict(text: str | bytes, *, what: str = "payload", depth: int = MAX_DEPTH) -> Value:
-    """Parse JSON, rejecting NaN/Infinity and enforcing value invariants."""
+    """Parse JSON, rejecting NaN/Infinity and enforcing value invariants.
+
+    `text` is read as json.loads reads it, with the same errors.
+    """
     try:
-        value = json.loads(text, parse_constant=reject_constant)
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        elif not isinstance(text, str):
+            raise TypeError(
+                f"the JSON object must be str, bytes or bytearray, not {text.__class__.__name__}"
+            )
+        elif text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        value = DECODER.decode(text)
     except ValueError as exc:
         raise InvalidValue(f"malformed JSON in {what}: {exc}") from None
     except RecursionError:

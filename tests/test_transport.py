@@ -10,13 +10,16 @@ makes on purpose, listed in _CHANGED.
 
 import http.client
 import random
+import re
 import socket
+import struct
 import sys
 import threading
 import time
 from contextlib import suppress
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -342,6 +345,102 @@ def test_a_reply_that_cannot_be_encoded_gets_the_fixed_500_on_a_live_connection(
          b'{"status":"ok"}'),
     ]
     assert "ValueError: Out of range float values" in capsys.readouterr().err
+
+
+def test_method_names_are_case_sensitive(served):
+    served.app.store.post_resource("/rest/victim", 1)
+    data = _request("delete", "/rest/victim") + _request("get", "/rest/victim") + _PROBE
+    replies = _replies(_send(served.address, data))
+    assert [reply[0] for reply in replies] == [
+        "HTTP/1.1 405 Method Not Allowed", "HTTP/1.1 405 Method Not Allowed", "HTTP/1.1 200 OK"
+    ]
+    assert served.app.store.get_resource("/rest/victim") == 1
+
+
+def _reset(sock) -> None:
+    """Close `sock` with a TCP reset instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _wait_until_idle(served) -> None:
+    """Wait until the server has finished with every connection it accepted."""
+    deadline = time.monotonic() + SOCKET_TIMEOUT_S
+    while served.server._connections:
+        assert time.monotonic() < deadline, "a connection is still being served"
+        time.sleep(0.01)
+
+
+def _reset_between_requests(address) -> None:
+    sock = socket.create_connection(address, timeout=SOCKET_TIMEOUT_S)
+    sock.sendall(_request())
+    assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+    _reset(sock)
+
+
+def _reset_in_the_middle_of_a_body(address) -> None:
+    headers = (("Host", "t"), ("Content-Length", "100"), ("Expect", "100-continue"))
+    sock = socket.create_connection(address, timeout=SOCKET_TIMEOUT_S)
+    sock.sendall(_request("POST", "/rest/cut", headers))
+    # the interim reply goes out when the app starts to read the body
+    assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+    sock.sendall(b"[1, 2, 3")
+    time.sleep(0.05)  # let the server read what was sent and wait for the rest
+    _reset(sock)
+
+
+@pytest.mark.parametrize("reset", [_reset_between_requests, _reset_in_the_middle_of_a_body])
+def test_a_client_reset_ends_its_connection_quietly(served, capsys, reset):
+    reset(served.address)
+    _wait_until_idle(served)
+    replies = _replies(_send(served.address, _PROBE))
+    assert [reply[0] for reply in replies] == ["HTTP/1.1 200 OK"]
+    _wait_until_idle(served)
+    assert capsys.readouterr().err == ""
+    assert served.app.store.canonical_dump() == "{}"
+
+
+_IMF_FIXDATE = re.compile(
+    rb"Date: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), [0-9]{2} "
+    rb"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) [0-9]{4} [0-9]{2}:[0-9]{2}:[0-9]{2} GMT"
+)
+
+
+def _dates(received: bytes) -> list:
+    """The Date lines of each reply head in `received`, in order."""
+    heads = [reply.partition(b"\r\n\r\n")[0]
+             for reply in re.split(rb"(?=HTTP/1\.1 [0-9]{3} )", received) if reply]
+    return [[line for line in head.split(b"\r\n") if line.lower().startswith(b"date:")]
+            for head in heads]
+
+
+def test_each_reply_carries_one_date_in_imf_fixdate_form(served):
+    data = _request() + _request("PATCH") + b"GET /\r\n\r\n"
+    received = _send(served.address, data)
+    assert [reply[0] for reply in _replies(received)] == [
+        "HTTP/1.1 200 OK", "HTTP/1.1 405 Method Not Allowed", "HTTP/1.1 400 Bad Request"
+    ]
+    dates = _dates(received)
+    assert len(dates) == 3
+    for lines in dates:
+        assert len(lines) == 1 and _IMF_FIXDATE.fullmatch(lines[0]), lines
+
+
+def test_the_date_changes_with_the_second(served, monkeypatch):
+    now = [1_700_000_000.999]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: now[0]))
+    sock = socket.create_connection(served.address, timeout=SOCKET_TIMEOUT_S)
+    with sock:
+        sent = []
+        for clock in (1_700_000_000.999, 1_700_000_000.001, 1_700_000_001.0):
+            now[0] = clock
+            sock.sendall(_request())
+            sent.append(sock.recv(65536))
+    assert [_dates(reply) for reply in sent] == [
+        [[b"Date: Tue, 14 Nov 2023 22:13:20 GMT"]],
+        [[b"Date: Tue, 14 Nov 2023 22:13:20 GMT"]],
+        [[b"Date: Tue, 14 Nov 2023 22:13:21 GMT"]],
+    ]
 
 
 # --- the differential test against the old transport

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import sys
+import threading
 from enum import IntEnum
 
 import pytest
@@ -12,6 +15,7 @@ from fastgate.values import (
     copy_value,
     loads_strict,
     parse_scalar,
+    reject_constant,
     validate_value,
 )
 
@@ -222,3 +226,165 @@ def test_validate_value_matches_the_reference_walk():
         "thing has a non-string object key",
         "thing contains a non-JSON type",
     }
+
+
+# --- the shared codecs against the calls they replaced, which built a
+# decoder or an encoder per call
+
+
+def _old_loads_strict(text, *, what="payload", depth=MAX_DEPTH):
+    try:
+        value = json.loads(text, parse_constant=reject_constant)
+    except ValueError as exc:
+        raise InvalidValue(f"malformed JSON in {what}: {exc}") from None
+    except RecursionError:
+        raise InvalidValue(f"{what} exceeds nesting depth {MAX_DEPTH}") from None
+    validate_value(value, what=what, depth=depth)
+    return value
+
+
+def _old_canonical_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _result(call, *args, **kwargs):
+    """What a call returns, as (type, repr), or what it raises, as (type, message)."""
+    try:
+        value = call(*args, **kwargs)
+    except Exception as exc:  # the type and the message are the contract
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+_DEEP = 100_000
+_TEXTS = [
+    '{"b": [1, 2.5, null], "a": {"c": "x"}}',
+    b'{"a": [true, false]}',
+    bytearray(b"[1, 2]"),
+    '{"k": "v"}'.encode("utf-16"),
+    "[1]".encode("utf-32-le"),
+    b"\xef\xbb\xbf[1]",  # a UTF-8 BOM in bytes is allowed
+    "\ufeff[1]",  # in a str it is not
+    b"\x80",
+    "NaN",
+    "[Infinity]",
+    '{"a": -Infinity}',
+    "",
+    "  ",
+    "[",
+    "[1,]",
+    '{"a" 1}',
+    "1 2",
+    "tru",
+    '"\x00"',
+    '"\\ud800"',
+    "[" * _DEEP + "]" * _DEEP,
+    "[" * 65 + "]" * 65,
+    "[" * 64 + "]" * 64,
+    "1" + "0" * 4999,
+    "-" + "9" * 4000,
+    "1e400",
+    None,
+    42,
+    ["[]"],
+    memoryview(b"[]"),
+]
+
+
+@pytest.mark.parametrize("text", _TEXTS, ids=range(len(_TEXTS)))
+def test_loads_strict_matches_json_loads(text):
+    assert _result(loads_strict, text) == _result(_old_loads_strict, text)
+    narrow = {"what": "body", "depth": 2}
+    assert _result(loads_strict, text, **narrow) == _result(_old_loads_strict, text, **narrow)
+
+
+@given(
+    json_values.map(json.dumps)
+    | json_values.map(canonical_json)
+    | st.text(max_size=40)
+    | st.binary(max_size=40)
+)
+def test_loads_strict_matches_json_loads_on_any_text(text):
+    assert _result(loads_strict, text) == _result(_old_loads_strict, text)
+
+
+class _Str(str):
+    pass
+
+
+def _circular():
+    value = []
+    value.append(value)
+    return value
+
+
+_VALUES = [
+    {"b": [1, 2.5, None], "a": {"c": "x"}, "": True},
+    "plain",
+    _Str("sub"),
+    _Level.LOW,
+    _Real(2.5),
+    2**70,
+    -0.0,
+    float("nan"),
+    [1, float("inf")],
+    {"a": -float("inf")},
+    {1: "a"},
+    {1: "a", "b": 2},
+    {None: 1, True: 2},
+    {(1, 2): 1},
+    object(),
+    [b"bytes"],
+    _circular(),
+    {"\ud800": "\u00e9\U0001f600"},
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=range(len(_VALUES)))
+def test_canonical_json_matches_json_dumps(value):
+    assert _result(canonical_json, value) == _result(_old_canonical_json, value)
+
+
+def test_canonical_json_matches_json_dumps_past_the_recursion_limit():
+    value = []
+    for _ in range(_DEEP):
+        value = [value]
+    assert _result(canonical_json, value) == _result(_old_canonical_json, value)
+    assert _result(canonical_json, value)[0] is RecursionError
+
+
+@given(json_values)
+def test_canonical_json_matches_json_dumps_on_any_value(value):
+    assert _result(canonical_json, value) == _result(_old_canonical_json, value)
+
+
+def test_threads_sharing_the_codecs_match_a_serial_run():
+    rng = random.Random(14)
+    good = [_random_value(rng, 5, _GOOD_LEAVES, 0.0) for _ in range(300)]
+    values = _VALUES + good + [_random_value(rng, 5) for _ in range(300)]
+    texts = _TEXTS + [canonical_json(value) for value in good]
+
+    def run():
+        return ([_result(canonical_json, value) for value in values],
+                [_result(loads_strict, text) for text in texts])
+
+    serial = run()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(index):
+        start.wait()
+        results[index] = [run() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(runs == [serial] * 5 for runs in results)
