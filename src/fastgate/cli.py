@@ -6,6 +6,7 @@ error.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -39,35 +40,17 @@ _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a field name, RFC 9110 section 5.6.2
 
 
-class _ContinueOnRead:
-    """`wsgi.input` for a request that sent `Expect: 100-continue`.
-
-    The interim `100 Continue` goes out at the app's first read (PEP 3333),
-    so a body that the app refuses unread (a bad length, one over the cap)
-    is never invited.
-    """
-
-    def __init__(self, rfile, wfile):
-        self._rfile = rfile
-        self._wfile = wfile
-
-    def read(self, size=-1):
-        if self._wfile is not None:
-            self._wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            self._wfile = None
-        return self._rfile.read(size)
-
-
 class _GatewayHandler(socketserver.StreamRequestHandler):
     """HTTP/1.1 in front of the server's WSGI app, one request at a time.
 
     The request line and the header block are read once, as bytes, into the
-    environ.  The connection stays open until the client closes it or sends
-    `Connection: close`, the request is HTTP/1.0, the app answers
-    `Connection: close` because it left the body unread, or the client stays
-    silent for IDLE_TIMEOUT_S.  Every method reaches the app, so an unknown
-    one gets the app's 405, not a 501.  A request not strictly framed never
-    does (RFC 9112): it gets a JSON error, and the connection closes.
+    environ, and the body is checked and read by its Content-Length before
+    the app sees the request.  The connection stays open until the client
+    closes it or sends `Connection: close`, the request is HTTP/1.0, or the
+    client stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so
+    an unknown one gets the app's 405, not a 501.  A request not strictly
+    framed never does (RFC 9112): it gets a JSON error, with no body for a
+    HEAD, and the connection closes.
     """
 
     disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
@@ -81,6 +64,7 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
 
     def _serve_one(self) -> bool:
         """Read and answer one request; False when the connection is to close."""
+        self.head = False  # a reply to HEAD carries no body (RFC 9110 section 9.3.2)
         line = self.rfile.readline(_MAX_LINE + 1)
         if len(line) > _MAX_LINE:
             return self._reject(414)
@@ -94,6 +78,7 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
         if len(words) != 3:
             return self._reject(400, f"Bad request syntax ({text!r})")
         method, target, _ = words
+        self.head = method == "HEAD"
         http11 = int(version[1]) == 1 <= int(version[2])  # or a later 1.x (RFC 9110 2.5)
         path, _, query = target.partition("?")
         # PATH_INFO stays percent-encoded: the gateway decodes a path once, as UTF-8
@@ -118,17 +103,27 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
             return self._reject(400, "request target must be ASCII; percent-encode other bytes")
         if http11 and "," in environ.get("HTTP_HOST", ","):  # none, or two joined by a comma
             return self._reject(400, "an HTTP/1.1 request needs exactly one Host")
-        # joined, so that a repeated Content-Length fails the app's digits-only check
-        environ["CONTENT_LENGTH"] = ",".join(framing[b"content-length"])
+        if "HTTP_TRANSFER_ENCODING" in environ:
+            return self._reject(400, "Transfer-Encoding is not supported; send a Content-Length")
+        declared = ",".join(framing[b"content-length"]) or "0"  # a repeated one is not digits
+        if not (declared.isascii() and declared.isdigit()):
+            return self._reject(400, "Content-Length must be a non-negative integer")
+        length = int(declared)
+        if length > self.server.max_bytes:  # refused unread, and never invited by a 100
+            return self._reject(413, f"request body exceeds {self.server.max_bytes} bytes")
+        if length and http11 and environ.get("HTTP_EXPECT", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return self._reject(400, "request body is shorter than its Content-Length")
+        environ["CONTENT_LENGTH"] = str(length)
         environ["CONTENT_TYPE"] = next(iter(framing[b"content-type"]), "")
-        expect = http11 and environ.get("HTTP_EXPECT", "").lower() == "100-continue"
-        environ["wsgi.input"] = _ContinueOnRead(self.rfile, self.wfile) if expect else self.rfile
+        environ["wsgi.input"] = io.BytesIO(body)
         close = not http11 or environ.get("HTTP_CONNECTION", "").lower() == "close"
         reply = []
         chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
         status, headers = reply
-        close = close or ("Connection", "close") in headers
-        self._send(status, headers, b"" if method == "HEAD" else b"".join(chunks), close)
+        self._send(status, headers, b"".join(chunks), close)
         return not close
 
     def _reject(self, code: int, message: str = "") -> bool:
@@ -143,13 +138,18 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
         # One write: a second small one would wait on the client's delayed ACK.
         head = [f"HTTP/1.1 {status}", self.server.date_line()]
         head += [f"{name}: {value}" for name, value in headers]
-        if close and ("Connection", "close") not in headers:
+        if close:
             head.append("Connection: close")
+        if self.head:  # Content-Length still gives the size of the body left out
+            body = b""
         self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
 
 
 class GatewayServer(socketserver.ThreadingTCPServer):
     """Serves the WSGI callable `app` with one thread per connection.
+
+    A request body over `max_bytes` is refused with a 413 before it is read;
+    pass the app's own cap, so that the two agree.
 
     `server_close` lets the requests in flight finish and ends every
     connection before it returns, so the app serves nothing after it and
@@ -159,8 +159,9 @@ class GatewayServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = False  # server_close joins them
 
-    def __init__(self, address: tuple, app):
+    def __init__(self, address: tuple, app, max_bytes: int):
         self.app = app
+        self.max_bytes = max_bytes
         self.closing = False
         self._date = (0, "")  # the last (second, Date line)
         self._connections: set = set()
@@ -254,7 +255,9 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
     except (FastError, OSError) as exc:
         _fail(str(getattr(exc, "message", exc)), 1)
     try:
-        server = GatewayServer((config.host, config.port), bundle.gateway.wsgi_app)
+        server = GatewayServer(
+            (config.host, config.port), bundle.gateway.wsgi_app, config.max_bytes
+        )
     except OSError as exc:
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)
     click.echo(f"serving on http://{config.host}:{config.port}", err=True)

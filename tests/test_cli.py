@@ -141,7 +141,7 @@ def test_serve_flag_overrides_env_config(tmp_path):
 @pytest.fixture(scope="module")
 def live_server():
     app = build_app()
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -455,6 +455,23 @@ def test_expect_100_continue_invites_only_a_body_the_gateway_reads(live_server):
         assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
 
 
+def test_an_oversized_upload_is_refused_without_reading_it():
+    app = build_app()
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, max_bytes=10)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = "http://{}:{}".format(*server.server_address)
+    try:
+        # no body bytes follow: a server that waited for them would time the read out
+        request = b"POST /rest/x HTTP/1.1\r\nHost: t\r\nContent-Length: 1000\r\n\r\n"
+        [(status, headers, body)] = _raw_exchange(url, request)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert status == "HTTP/1.1 413 Request Entity Too Large"
+    assert headers["Connection"] == "close"
+    assert json.loads(body) == {"message": "request body exceeds 10 bytes"}
+
+
 def test_malformed_request_line_answers_json(live_server):
     url, _ = live_server
     [(status, headers, body)] = _raw_exchange(url, b"NONSENSE\r\n\r\n")
@@ -525,7 +542,7 @@ def test_a_request_target_outside_ascii_is_rejected(live_server):
 def test_a_path_is_decoded_once_for_the_allow_hook_and_the_store():
     app = build_app()
     app.gateway.allow = lambda method, path: not path.startswith("/rest/private/")
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     conn = http.client.HTTPConnection(*server.server_address, timeout=SOCKET_TIMEOUT_S)
     try:
@@ -568,7 +585,7 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
         return x
 
     app.machine.register_package("held", {"hold": hold})
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     address = server.server_address
     idle = http.client.HTTPConnection(*address, timeout=SOCKET_TIMEOUT_S)
@@ -608,39 +625,39 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
 # --- the server process end to end
 
 
-@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
-def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
-    port = _free_port()
-    store_path = tmp_path / "persisted.json"
+def _serve_process(port: int, *options: str) -> subprocess.Popen:
+    """`fastgate serve` on `port` in a child process, with `options` added."""
     # the child imports the same fastgate as this test, installed or not
     source_root = os.path.dirname(os.path.dirname(fastgate.__file__))
     pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "fastgate.cli",
-            "serve",
-            "--bind",
-            f"127.0.0.1:{port}",
-            "--store",
-            str(store_path),
-        ],
+    return subprocess.Popen(
+        [sys.executable, "-m", "fastgate.cli", "serve", "--bind", f"127.0.0.1:{port}", *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def _wait_until_serving(base: str) -> None:
+    deadline = time.time() + 20
+    while True:
+        try:
+            if requests.get(f"{base}/healthz", timeout=2).status_code == 200:
+                return
+        except requests.RequestException:
+            if time.time() > deadline:
+                raise
+            time.sleep(0.1)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
+    port = _free_port()
+    store_path = tmp_path / "persisted.json"
+    proc = _serve_process(port, "--store", str(store_path))
     try:
         base = f"http://127.0.0.1:{port}"
-        deadline = time.time() + 20
-        while True:
-            try:
-                if requests.get(f"{base}/healthz", timeout=2).status_code == 200:
-                    break
-            except requests.RequestException:
-                if time.time() > deadline:
-                    raise
-                time.sleep(0.1)
+        _wait_until_serving(base)
         posted = requests.post(
             f"{base}/rest/books/1", json={"data": {"title": "T"}}, timeout=10
         )
@@ -661,3 +678,20 @@ def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
     reloaded = ResourceStore()
     reloaded.load(str(store_path))
     assert reloaded.get_resource("/rest/books/1") == {"title": "T"}
+
+
+def test_serve_process_caps_request_bodies_at_max_bytes():
+    port = _free_port()
+    proc = _serve_process(port, "--max-bytes", "2048")
+    try:
+        _wait_until_serving(f"http://127.0.0.1:{port}")
+        head = b"POST /rest/big HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+        with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as sock:
+            sock.sendall(head + b"Content-Length: 4096\r\n\r\n")
+            # until the server closes; a server that invited the body would time this out
+            reply = sock.makefile("rb").read()
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert reply.startswith(b"HTTP/1.1 413 Request Entity Too Large\r\n")  # no 100 before it
+    assert reply.endswith(b'\r\n\r\n{"message":"request body exceeds 2048 bytes"}')

@@ -654,29 +654,6 @@ def test_wsgi_adapter_speaks_canonical_json(bundle):
     assert payload == b'{"message":"Resource not found"}'
 
 
-def test_wsgi_rejects_oversized_uploads_without_reading(bundle):
-    bundle.gateway.max_bytes = 10
-
-    class Explosive(io.RawIOBase):
-        def read(self, *args):
-            raise AssertionError("body must not be read")
-
-    environ = {
-        "REQUEST_METHOD": "POST",
-        "PATH_INFO": "/rest/x",
-        "QUERY_STRING": "",
-        "CONTENT_LENGTH": "1000",
-        "CONTENT_TYPE": "application/json",
-        "wsgi.input": Explosive(),
-    }
-    captured = {}
-    chunks = bundle.gateway.wsgi_app(
-        environ, lambda s, h: captured.setdefault("status", s)
-    )
-    assert captured["status"].startswith("413")
-    assert b"exceeds 10 bytes" in b"".join(chunks)
-
-
 def test_wsgi_query_string_parsing(bundle):
     status, _, payload = _wsgi_call(
         bundle.gateway, "GET", "/lambda/basic_arithmetic/add", query="a=1&b=2"

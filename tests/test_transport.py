@@ -1,11 +1,12 @@
 """The HTTP/1.1 request reader over real sockets.
 
-The reader parses each request head once and strictly (RFC 9112).  The
-socket tests below pin the requests it refuses, and a differential test
-sends the same raw bytes to it and to the `http.server` transport it
-replaced, kept verbatim below, and compares status, body and whether the
-connection closes.  The only differences allowed are the ones the reader
-makes on purpose, listed in _CHANGED.
+The reader parses each request head once and strictly (RFC 9112), and
+frames the body itself.  The socket tests below pin the requests it
+refuses, and a differential test sends the same raw bytes to it and to the
+`http.server` transport it replaced, in front of the WSGI adapter that
+framed the body then, both kept verbatim below, and compares status, body
+and whether the connection closes.  The only differences allowed are the
+ones the reader makes on purpose, listed in _CHANGED.
 """
 
 import http.client
@@ -18,14 +19,20 @@ import threading
 import time
 from contextlib import suppress
 from http import HTTPStatus
+from http.client import responses as _REASONS
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
+from typing import Optional
+from urllib.parse import parse_qsl
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fastgate import build_app, cli
+from fastgate.errors import BadRequest, FastError, PayloadTooLarge
+from fastgate.http_gateway import WireRequest, _error
+from fastgate.rest_machine import DEFAULT_MAX_BYTES
 from fastgate.values import canonical_json
 
 from test_rest_machine import Op, linearizable
@@ -175,15 +182,82 @@ class GatewayServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
 
+# --- the WSGI adapter from before the reader framed the body, verbatim:
+# `Gateway.wsgi_app` and `Gateway._read_body`, on today's `Gateway.handle`
+
+
+class _OldAdapter:
+    def __init__(self, gateway):
+        self.handle = gateway.handle
+        self.max_bytes = gateway.max_bytes
+
+    def wsgi_app(self, environ, start_response):
+        method = environ.get("REQUEST_METHOD", "GET")  # case-sensitive (RFC 9110 9.1)
+        path = environ.get("PATH_INFO", "/")
+        query = dict(
+            parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)
+        )
+        headers = [("Content-Type", "application/json")]
+        try:
+            body = self._read_body(environ)
+        except FastError as exc:
+            response = _error(exc.http_status, exc.message)
+            # unread body bytes must not be parsed as the next request
+            headers.append(("Connection", "close"))
+        else:
+            response = self.handle(
+                WireRequest(
+                    method,
+                    path,
+                    query,
+                    body,
+                    environ.get("CONTENT_TYPE", ""),
+                )
+            )
+        payload = response.text.encode("utf-8")
+        headers.append(("Content-Length", str(len(payload))))
+        reason = _REASONS.get(response.status, "Unknown")
+        start_response(f"{response.status} {reason}", headers)
+        return [payload]
+
+    def _read_body(self, environ) -> Optional[bytes]:
+        """The body framed by CONTENT_LENGTH (RFC 9112 section 6.3), None if empty.
+
+        Anything but a decimal length is a 400, as is chunked framing; a
+        length over the cap is a 413 and the body is never read.
+        """
+        if "HTTP_TRANSFER_ENCODING" in environ:
+            raise BadRequest("Transfer-Encoding is not supported; send a Content-Length")
+        text = environ.get("CONTENT_LENGTH") or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise BadRequest("Content-Length must be a non-negative integer")
+        length = int(text)
+        if length > self.max_bytes:
+            raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
+        if not length:
+            return None
+        body = environ["wsgi.input"].read(length)
+        if len(body) < length:
+            raise BadRequest("request body is shorter than its Content-Length")
+        return body
+
+
 # --- helpers
 
 
 class _Served:
-    """A server on a free localhost port, its own app, and a thread serving it."""
+    """A server on a free localhost port, its own app, and a thread serving it.
 
-    def __init__(self, server_class):
+    `old` puts the old transport and the old adapter in front of the app.
+    """
+
+    def __init__(self, old=False):
         self.app = build_app()
-        self.server = server_class(("127.0.0.1", 0), self.app.gateway.wsgi_app)
+        gateway = self.app.gateway
+        if old:
+            self.server = GatewayServer(("127.0.0.1", 0), _OldAdapter(gateway).wsgi_app)
+        else:
+            self.server = cli.GatewayServer(("127.0.0.1", 0), gateway.wsgi_app, gateway.max_bytes)
         self.address = self.server.server_address
         serve = threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True)
         serve.start()
@@ -195,7 +269,7 @@ class _Served:
 
 @pytest.fixture
 def served():
-    server = _Served(cli.GatewayServer)
+    server = _Served()
     yield server
     server.close()
 
@@ -324,6 +398,31 @@ def test_a_two_word_request_line_is_refused(served, line):
     _refused(served, line + b"\r\n\r\n", f"Bad request syntax ({line.decode()!r})")
 
 
+_HEAD = b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n"
+
+
+@pytest.mark.parametrize("data, code, message", [
+    ("HEAD /café HTTP/1.1\r\nHost: t\r\n\r\n".encode(), 400,
+     "request target must be ASCII; percent-encode other bytes"),
+    (b"HEAD /healthz HTTP/1.1\r\n\r\n", 400, "an HTTP/1.1 request needs exactly one Host"),
+    (_HEAD + b"Transfer-Encoding: chunked\r\n\r\n", 400,
+     "Transfer-Encoding is not supported; send a Content-Length"),
+    (_HEAD + b"Content-Length: x\r\n\r\n", 400, "Content-Length must be a non-negative integer"),
+    (_HEAD + b"Content-Length: 1000000000000\r\n\r\n", 413,
+     f"request body exceeds {DEFAULT_MAX_BYTES} bytes"),
+    (_HEAD + b"Content-Length: 500\r\n\r\n[1]", 400,
+     "request body is shorter than its Content-Length"),
+], ids=["non-ascii-target", "no-host", "chunked", "garbage-length", "oversized", "short-body"])
+def test_a_refused_head_gets_no_body(served, data, code, message):
+    length = len(canonical_json({"message": message}))
+    headers = {"Content-Type": "application/json", "Content-Length": str(length),
+               "Connection": "close"}
+    # RFC 9110 section 9.3.2; and the probe after it goes unanswered
+    assert _replies(_send(served.address, data + _PROBE)) == [
+        (f"HTTP/1.1 {code} {HTTPStatus(code).phrase}", headers, b"")
+    ]
+
+
 def test_a_later_http1_minor_version_is_served_as_http11(served):
     replies = _replies(_send(served.address, _request(version="HTTP/1.2") + _PROBE))
     assert [reply[0] for reply in replies] == ["HTTP/1.1 200 OK", "HTTP/1.1 200 OK"]
@@ -448,7 +547,7 @@ def test_the_date_changes_with_the_second(served, monkeypatch):
 
 @pytest.fixture(scope="module")
 def pair():
-    servers = _Served(cli.GatewayServer), _Served(GatewayServer)
+    servers = _Served(), _Served(old=True)
     yield servers
     for served in servers:
         served.close()
@@ -586,19 +685,27 @@ _CHANGED = {
                      ["HTTP/1.1 404 Not Found", _OK]),
     # a later HTTP/1.x minor is served as 1.1 and keeps the connection open
     "http12": (b"GET /healthz HTTP/1.2\r\nHost: t\r\n\r\n", [_OK], [_OK, _OK]),
+    # a refused HEAD: the old transport sent the JSON body of its 400, and
+    # let a HEAD with no Host reach the app; the reader sends no body
+    "head-non-ascii-target": ("HEAD /café HTTP/1.1\r\nHost: t\r\n\r\n".encode(),
+                              [_REFUSED], [_REFUSED]),
+    "head-no-host": (b"HEAD /healthz HTTP/1.1\r\n\r\n",
+                     ["HTTP/1.1 405 Method Not Allowed", _OK], [_REFUSED]),
 }
 
 
 @pytest.mark.parametrize("data, old_statuses, new_statuses", _CHANGED.values(),
                          ids=_CHANGED.keys())
 def test_the_reader_differs_only_where_it_means_to(data, old_statuses, new_statuses):
-    pair = _Served(cli.GatewayServer), _Served(GatewayServer)
+    pair = _Served(), _Served(old=True)
     try:
         for served in pair:
             served.app.store.post_resource("/rest/victim", 1)
         new, old = _both(pair, data)
         assert [reply[0] for reply in old] == old_statuses
         assert [reply[0] for reply in new] == new_statuses
+        if data.startswith(b"HEAD"):
+            assert not new[0][2]
         # the reader never lets the smuggled DELETE run
         assert pair[0].app.store.get_resource("/rest/victim") == 1
     finally:
