@@ -17,9 +17,8 @@ import sys
 import threading
 import time
 from contextlib import suppress
-from email.utils import formatdate
 from http import HTTPStatus
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from time import gmtime
 from urllib.parse import quote, urlsplit
 
 import click
@@ -38,6 +37,9 @@ _MAX_LINE = 65536  # bytes in the request line (else 414) or in a header line (e
 _MAX_LINES = 100  # header lines, the blank line that ends them included (else 431)
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a field name, RFC 9110 section 5.6.2
+# IMF-fixdate names are English whatever the locale (RFC 9110 section 5.6.7)
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 class _GatewayHandler(socketserver.StreamRequestHandler):
@@ -119,7 +121,8 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
         environ["CONTENT_LENGTH"] = str(length)
         environ["CONTENT_TYPE"] = next(iter(framing[b"content-type"]), "")
         environ["wsgi.input"] = io.BytesIO(body)
-        close = not http11 or environ.get("HTTP_CONNECTION", "").lower() == "close"
+        options = environ.get("HTTP_CONNECTION", "").lower().split(",")
+        close = not http11 or any(option.strip() == "close" for option in options)
         reply = []
         chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
         status, headers = reply
@@ -163,7 +166,7 @@ class GatewayServer(socketserver.ThreadingTCPServer):
         self.app = app
         self.max_bytes = max_bytes
         self.closing = False
-        self._date = (0, "")  # the last (second, Date line)
+        self._date = (None, "")  # the last (second, Date line)
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _GatewayHandler)
@@ -174,7 +177,11 @@ class GatewayServer(socketserver.ThreadingTCPServer):
         second, line = self._date  # read once, so a thread racing a refresh sends a whole pair
         now = int(time.time())
         if now != second:
-            line = f"Date: {formatdate(now, usegmt=True)}"
+            t = gmtime(now)  # by name: a test swaps `time` for an object with time() alone
+            line = (
+                f"Date: {_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+                f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+            )
             self._date = (now, line)
         return line
 
@@ -282,6 +289,9 @@ def _post(server: str, path: str, value):
 
     Any other outcome exits: 1 for a 4xx, 2 for no server or another reply.
     """
+    # imported here, so that `serve` loads no HTTP client and no TLS
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
     try:
         url = urlsplit(server)
         if url.scheme not in ("http", "https") or not url.hostname:

@@ -65,7 +65,13 @@ class FunctionNotFound(FastError):
 # --- 405 / 413
 
 class MethodNotAllowed(FastError):
+    """Carries the route's methods for the reply's Allow field."""
+
     http_status = 405
+
+    def __init__(self, message: str, allow: str):
+        super().__init__(message)
+        self.allow = allow
 
 
 class PayloadTooLarge(FastError):

@@ -7,8 +7,13 @@ Routes:
     /query                  the query language carrier
     /healthz                liveness
 
+HEAD is served wherever GET is, as that GET: the transport sends the
+reply's status and headers and leaves the body out (RFC 9110 section 9.3.2).
+
 Everything speaks JSON.  Error bodies are {"message": ...} with status
 drawn from {400, 404, 405, 413, 422, 500}; 200 bodies are the bare result.
+A 405 also carries the route's methods for the reply's `Allow` field
+(RFC 9110 section 15.5.6).
 The core handler is transport-free.  It percent-decodes the request path
 once, as UTF-8, so the allow hook, the router and the store see one form.
 It also encodes each reply's canonical JSON text, once, inside its guard:
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import traceback
 from dataclasses import dataclass, field, replace
-from http.client import responses as _REASONS
+from http import HTTPStatus
 from typing import Callable, Optional
 from urllib.parse import parse_qsl, unquote
 
@@ -52,6 +57,9 @@ _ABSENT = object()
 
 _FNS_PUNCTUATION = str.maketrans("", "", "[]()'\"")
 
+# http.client.responses, built here so the server does not load an HTTP client
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
 
 @dataclass
 class WireRequest:
@@ -64,10 +72,12 @@ class WireRequest:
 
 @dataclass
 class WireResponse:
-    """A reply: its status and its body's canonical JSON text."""
+    """A reply: its status, its body's canonical JSON text and, for a 405,
+    the value of its Allow field."""
 
     status: int
     text: str
+    allow: str = ""
 
     @property
     def body(self) -> Value:
@@ -75,8 +85,8 @@ class WireResponse:
         return json.loads(self.text)
 
 
-def _error(status: int, message: str) -> WireResponse:
-    return WireResponse(status, canonical_json({"message": message}))
+def _error(status: int, message: str, allow: str = "") -> WireResponse:
+    return WireResponse(status, canonical_json({"message": message}), allow)
 
 
 class Gateway:
@@ -84,6 +94,7 @@ class Gateway:
 
     `allow` is the security hook point: a callback (method, path) -> bool;
     denied requests answer 404 so the route's existence is not revealed.
+    It sees a HEAD as the GET that answers it.
     """
 
     def __init__(
@@ -110,12 +121,16 @@ class Gateway:
                 raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
             if "%" in req.path:  # decoded once, so allow, router and store agree
                 req = replace(req, path=unquote(req.path))
+            if req.method == "HEAD":  # served as its GET, which the allow hook sees too
+                req = replace(req, method="GET")
             if self.allow is not None and not self.allow(req.method, req.path):
                 raise NotFound("Not found")
             result = self._route(req)
             if isinstance(result, WireResponse):  # a stored value's text, sent as is
                 return result
             return WireResponse(200, canonical_json(result))
+        except MethodNotAllowed as exc:
+            return _error(405, exc.message, exc.allow)
         except FastError as exc:
             return _error(exc.http_status, exc.message)
         except Exception:  # last-resort guard: the traceback goes to stderr, not the client
@@ -140,6 +155,8 @@ class Gateway:
         )
         payload = response.text.encode("utf-8")
         headers = [("Content-Type", "application/json"), ("Content-Length", str(len(payload)))]
+        if response.allow:
+            headers.append(("Allow", response.allow))
         reason = _REASONS.get(response.status, "Unknown")
         start_response(f"{response.status} {reason}", headers)
         return [payload]
@@ -169,7 +186,8 @@ class Gateway:
     def _require_method(req: WireRequest, allowed: tuple) -> None:
         if req.method not in allowed:
             raise MethodNotAllowed(
-                f"{req.method} is not allowed here; use {' or '.join(allowed)}"
+                f"{req.method} is not allowed here; use {' or '.join(allowed)}",
+                ", ".join(allowed).replace("GET", "GET, HEAD"),  # HEAD is served as GET
             )
 
     # --- handlers
@@ -213,7 +231,7 @@ class Gateway:
         if to_uri is not None and not isinstance(to_uri, str):
             raise BadRequest("to_uri must be a resource URI string")
         if to_uri is not None and req.method != "POST":
-            raise MethodNotAllowed("posting a result to a URI requires POST")
+            raise MethodNotAllowed("posting a result to a URI requires POST", "POST")
         if len(segments) == 2 and fn_names:
             raise BadRequest("give either a function segment or fns, not both")
         if len(segments) == 1 and not fn_names:
@@ -245,7 +263,7 @@ class Gateway:
             raise BadRequest('missing query parameter "q"')
         expr = parse(text)
         if isinstance(expr, PostTo) and req.method != "POST":
-            raise MethodNotAllowed("Post queries require POST")
+            raise MethodNotAllowed("Post queries require POST", "POST")
         return self.engine.evaluate(expr)
 
     # --- request plumbing

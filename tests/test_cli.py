@@ -362,11 +362,12 @@ def test_any_method_reaches_the_gateway_over_the_wire(live_server):
     url, app = live_server
     conn = _CountingConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
     try:
-        for method in ("PATCH", "HEAD"):
+        # HEAD is served as GET: /rest/x is not stored
+        for method, status in (("PATCH", 405), ("HEAD", 404)):
             expected = app.gateway.handle(WireRequest(method, "/rest/x"))
             conn.request(method, "/rest/x")
             response = conn.getresponse()
-            assert response.status == expected.status == 405
+            assert response.status == expected.status == status
             body = response.read()
             if method == "HEAD":
                 assert body == b""  # a HEAD reply carries no body
@@ -625,17 +626,38 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
 # --- the server process end to end
 
 
-def _serve_process(port: int, *options: str) -> subprocess.Popen:
-    """`fastgate serve` on `port` in a child process, with `options` added."""
-    # the child imports the same fastgate as this test, installed or not
+def _child_env() -> dict:
+    """The environment in which a child imports the same fastgate as this test,
+    installed or not."""
     source_root = os.path.dirname(os.path.dirname(fastgate.__file__))
     pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def _serve_process(port: int, *options: str) -> subprocess.Popen:
+    """`fastgate serve` on `port` in a child process, with `options` added."""
     return subprocess.Popen(
         [sys.executable, "-m", "fastgate.cli", "serve", "--bind", f"127.0.0.1:{port}", *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
     )
+
+
+# what a serving process has no use for: TLS, mail, an HTTP client or server
+# library, a thread pool (the same set as the CI step that checks it)
+_UNUSED_BY_SERVE = ["requests", "http.client", "ssl", "email", "http.server",
+                    "concurrent.futures"]
+
+
+@pytest.mark.parametrize("module", ["fastgate.cli", "fastgate"])
+def test_importing_fastgate_loads_no_client_tls_email_or_pool(module):
+    check = (f"import sys, {module}; "
+             f"print(' '.join(sorted(set({_UNUSED_BY_SERVE!r}) & set(sys.modules))))")
+    result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                            env=_child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def _wait_until_serving(base: str) -> None:

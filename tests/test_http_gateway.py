@@ -50,6 +50,17 @@ def test_allow_hook_denials_look_like_404(bundle):
     assert status == 200
 
 
+def test_head_is_answered_as_its_get_and_reaches_the_allow_hook_as_get(bundle):
+    seen = []
+    bundle.gateway.allow = lambda method, path: seen.append(method) or path != "/rest/hidden"
+    bundle.store.post_resource("/rest/shown", [1])
+    bundle.store.post_resource("/rest/hidden", [2])
+    client = Client(bundle.gateway)
+    for path in ("/healthz", "/rest/shown", "/rest/hidden", "/rest/none"):
+        assert client.request("HEAD", path) == client.get(path)
+    assert seen == ["GET"] * 8
+
+
 def test_oversized_body_is_413_and_not_stored(bundle):
     bundle.gateway.max_bytes = 64
     client = Client(bundle.gateway)

@@ -216,6 +216,8 @@ class _OldAdapter:
             )
         payload = response.text.encode("utf-8")
         headers.append(("Content-Length", str(len(payload))))
+        if response.allow:  # not verbatim: today's gateway names a 405's methods
+            headers.append(("Allow", response.allow))
         reason = _REASONS.get(response.status, "Unknown")
         start_response(f"{response.status} {reason}", headers)
         return [payload]
@@ -313,6 +315,8 @@ def _request(method="GET", target="/healthz", headers=(("Host", "t"),), body=b""
 
 # answered only if the connection is still open after the requests before it
 _PROBE = b"GET /healthz HTTP/1.1\r\nHost: probe\r\nConnection: close\r\n\r\n"
+_REFUSED = "HTTP/1.1 400 Bad Request"
+_OK = "HTTP/1.1 200 OK"
 
 
 # --- what the reader refuses: a JSON 400, and the connection closes
@@ -456,6 +460,82 @@ def test_method_names_are_case_sensitive(served):
     assert served.app.store.get_resource("/rest/victim") == 1
 
 
+# --- HEAD, Allow and Connection options
+
+
+@pytest.mark.parametrize(
+    "target, status",
+    [("/healthz", _OK), ("/rest/x", _OK), ("/rest/missing", "HTTP/1.1 404 Not Found")],
+)
+def test_head_gets_the_get_reply_without_its_body(served, target, status):
+    # RFC 9110 sections 9.1 and 9.3.2
+    served.app.store.post_resource("/rest/x", {"a": [1, 2.5], "b": "c"})
+    close = (("Host", "t"), ("Connection", "close"))
+    [get] = _replies(_send(served.address, _request("GET", target, close)))
+    assert get[0] == status and int(get[1]["Content-Length"]) == len(get[2]) > 0
+    received = _send(served.address, _request("HEAD", target, close))
+    assert received.endswith(b"\r\n\r\n")  # the head alone, no body bytes after it
+    assert _replies(received) == [(status, get[1], b"")]
+    # and the connection stays in step for the next request
+    replies = _replies(_send(served.address, _request("HEAD", target) + _PROBE))
+    assert [reply[0] for reply in replies] == [status, _OK]
+    assert not replies[0][2]
+
+
+_POST_QUERY = "/query?q=Post+xs+to+%2Frest%2Fys"
+_FAST_TO_URI = "/fast/pricer/price?to_uri=%2Frest%2Fout"
+
+
+@pytest.mark.parametrize("method, target, allow, message", [
+    ("POST", "/healthz", "GET, HEAD", "POST is not allowed here; use GET"),
+    ("PUT", "/query", "GET, HEAD, POST", "PUT is not allowed here; use GET or POST"),
+    ("PATCH", "/rest/x", "GET, HEAD, POST, PUT, DELETE",
+     "PATCH is not allowed here; use GET or POST or PUT or DELETE"),
+    ("delete", "/rest/x", "GET, HEAD, POST, PUT, DELETE",
+     "delete is not allowed here; use GET or POST or PUT or DELETE"),
+    ("DELETE", "/lambda/basic_arithmetic/add", "GET, HEAD, POST",
+     "DELETE is not allowed here; use GET or POST"),
+    ("PUT", "/fast/pricer?fns=price", "GET, HEAD, POST",
+     "PUT is not allowed here; use GET or POST"),
+    ("GET", _FAST_TO_URI, "POST", "posting a result to a URI requires POST"),
+    ("HEAD", _FAST_TO_URI, "POST", None),
+    ("GET", _POST_QUERY, "POST", "Post queries require POST"),
+    ("HEAD", _POST_QUERY, "POST", None),
+], ids=["healthz", "query", "rest", "rest-lower-case", "lambda", "fast", "fast-to-uri",
+        "fast-to-uri-head", "post-query", "post-query-head"])
+def test_every_405_carries_allow(served, method, target, allow, message):
+    # RFC 9110 section 15.5.6; the message is the same as without the field
+    status, headers, body = _replies(_send(served.address, _request(method, target) + _PROBE))[0]
+    assert status == "HTTP/1.1 405 Method Not Allowed"
+    assert headers["Allow"] == allow
+    assert body == (canonical_json({"message": message}).encode() if message else b"")
+    assert list(headers) == ["Content-Type", "Content-Length", "Allow"]
+    assert served.app.store.canonical_dump() == "{}"
+
+
+@pytest.mark.parametrize("connection", [
+    (("Connection", "keep-alive, close"),),
+    (("Connection", "Keep-Alive ,CLOSE"),),
+    (("Connection", "x-a,close,x-b"),),
+    (("Connection", "keep-alive"), ("connection", "close")),  # one list, two fields
+], ids=["keep-alive-close", "any-case", "middle", "two-fields"])
+def test_close_anywhere_in_the_connection_list_closes_after_the_reply(served, connection):
+    # RFC 9112 section 9.6: the pipelined probe after it goes unanswered
+    data = _request(headers=(("Host", "t"),) + connection)
+    assert _replies(_send(served.address, data + _PROBE)) == [
+        (_OK, {"Content-Type": "application/json", "Content-Length": "15",
+               "Connection": "close"}, b'{"status":"ok"}'),
+    ]
+
+
+@pytest.mark.parametrize("connection", ["keep-alive", "closed", "keep-alive, x-close"])
+def test_a_connection_list_without_close_keeps_the_connection(served, connection):
+    data = _request(headers=(("Host", "t"), ("Connection", connection)))
+    replies = _replies(_send(served.address, data + _PROBE))
+    assert [reply[0] for reply in replies] == [_OK, _OK]
+    assert "Connection" not in replies[0][1]
+
+
 def _reset(sock) -> None:
     """Close `sock` with a TCP reset instead of a FIN."""
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -540,6 +620,19 @@ def test_the_date_changes_with_the_second(served, monkeypatch):
         [[b"Date: Tue, 14 Nov 2023 22:13:20 GMT"]],
         [[b"Date: Tue, 14 Nov 2023 22:13:21 GMT"]],
     ]
+
+
+def test_the_date_line_is_what_formatdate_gives(served, monkeypatch):
+    from email.utils import formatdate  # the reference; the server does not load email
+
+    stamps = [0, 1, 1_709_208_000,  # the epoch; 29 February 2024
+              1_735_689_599, 1_735_689_600,  # 23:59:59 on 31 December 2024, and a second on
+              2**31 - 1, 2**31, 4_107_542_399,  # either side of 2038; 2100 is no leap year
+              1_700_000_000.999]
+    stamps += random.Random(5).sample(range(2**35), 200)
+    for stamp in stamps:
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: stamp))
+        assert served.server.date_line() == "Date: " + formatdate(stamp, usegmt=True), stamp
 
 
 # --- the differential test against the old transport
@@ -660,8 +753,6 @@ def test_a_head_cut_short_by_the_client_gets_the_same_replies(pair):
 
 # the differences the reader makes on purpose: (old transport's replies as
 # status lines, the reader's).  Each runs on a fresh pair of stores.
-_REFUSED = "HTTP/1.1 400 Bad Request"
-_OK = "HTTP/1.1 200 OK"
 _CHANGED = {
     # a field name that is not a token: the old parser dropped the line, or
     # every line after it, so the body was read as the next request
@@ -689,8 +780,14 @@ _CHANGED = {
     # let a HEAD with no Host reach the app; the reader sends no body
     "head-non-ascii-target": ("HEAD /café HTTP/1.1\r\nHost: t\r\n\r\n".encode(),
                               [_REFUSED], [_REFUSED]),
-    "head-no-host": (b"HEAD /healthz HTTP/1.1\r\n\r\n",
-                     ["HTTP/1.1 405 Method Not Allowed", _OK], [_REFUSED]),
+    # (HEAD is served as GET now, so the old transport's HEAD /healthz gets a 200)
+    "head-no-host": (b"HEAD /healthz HTTP/1.1\r\n\r\n", [_OK, _OK], [_REFUSED]),
+    # Connection is a list of options (RFC 9112 section 9.6): http.server
+    # closed only on a value of exactly `close`, and served the probe
+    "connection-list": (
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: keep-alive, close\r\n\r\n",
+        [_OK, _OK], [_OK],
+    ),
 }
 
 
