@@ -26,6 +26,7 @@ import click
 from .config import ENV_CONFIG, build_app, load_config_file, make_config, parse_bind
 from .errors import FastError
 from .values import canonical_json, loads_strict
+from .workers import WorkerPool, worker_count
 
 DEFAULT_SERVER = "http://127.0.0.1:8080"
 
@@ -261,14 +262,19 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
         bundle = build_app(config)
     except (FastError, OSError) as exc:
         _fail(str(getattr(exc, "message", exc)), 1)
+    # before the bind and before any thread starts: a worker keeps no listening
+    # socket, and no lock that another thread held
+    workers = bundle.gateway.workers = WorkerPool.fork(bundle.gateway, worker_count())
     try:
         server = GatewayServer(
             (config.host, config.port), bundle.gateway.wsgi_app, config.max_bytes
         )
     except OSError as exc:
+        workers.close()
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)
     click.echo(f"serving on http://{config.host}:{config.port}", err=True)
     click.echo(f"packages: {', '.join(bundle.machine.packages())}", err=True)
+    click.echo(f"worker processes for map, reduce and filter: {len(workers)}", err=True)
     if config.store_path:
         click.echo(f"store file: {config.store_path}", err=True)
     # SIGTERM (docker stop, systemd) takes the same path as Ctrl-C, so the store is flushed
@@ -279,6 +285,7 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
         click.echo("shutting down", err=True)
     finally:
         server.server_close()
+        workers.close()
         if config.store_path:
             bundle.store.save(config.store_path)
             click.echo(f"store flushed to {config.store_path}", err=True)

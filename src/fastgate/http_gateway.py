@@ -26,6 +26,14 @@ percent-encoded and a body that the server has already framed.
 and reads each request head and body once, strictly (RFC 9112).  An
 unexpected exception answers a fixed 500 message and logs its traceback to
 stderr.
+
+A data-parallel call goes to an idle process of `workers`, a
+`workers.WorkerPool`, when it has one: a `/lambda` or `/fast` call whose
+`to_do` is map, reduce or filter, or a `/query` that holds a Map, Reduce or
+Filter.  The handler finds that out from its own parse of the request, and
+the worker gets the request as the transport built it and runs `handle` on
+it.  Any other call, and a data-parallel one that finds no idle worker,
+runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -52,6 +60,9 @@ from .values import Value, canonical_json, loads_strict, parse_scalar
 RESERVED_PARAMS = frozenset(
     {"data", "uri", "to_do", "to_uri", "fns", "module", "function", "q"}
 )
+
+# the combinators whose calls go to a worker process
+DATA_PARALLEL = frozenset({"map", "reduce", "filter"})
 
 _ABSENT = object()
 
@@ -89,12 +100,27 @@ def _error(status: int, message: str, allow: str = "") -> WireResponse:
     return WireResponse(status, canonical_json({"message": message}), allow)
 
 
+def internal_error() -> WireResponse:
+    """The fixed 500, which names nothing of the failure."""
+    return _error(500, "internal server error")
+
+
+class _HandOff(Exception):
+    """Raised by a handler whose call an idle worker takes; `handle` sends it."""
+
+    def __init__(self, worker):
+        super().__init__()
+        self.worker = worker
+
+
 class Gateway:
     """Dispatches wire requests to the machines behind one surface.
 
     `allow` is the security hook point: a callback (method, path) -> bool;
     denied requests answer 404 so the route's existence is not revealed.
     It sees a HEAD as the GET that answers it.
+
+    `workers`, None or a `workers.WorkerPool`, runs data-parallel calls.
     """
 
     def __init__(
@@ -112,10 +138,12 @@ class Gateway:
         self.engine = engine
         self.max_bytes = max_bytes
         self.allow = allow
+        self.workers = None
 
     # --- entry points
 
     def handle(self, req: WireRequest) -> WireResponse:
+        wire = req  # what a worker gets: the path still percent-encoded, HEAD still HEAD
         try:
             if req.body is not None and len(req.body) > self.max_bytes:
                 raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
@@ -129,13 +157,15 @@ class Gateway:
             if isinstance(result, WireResponse):  # a stored value's text, sent as is
                 return result
             return WireResponse(200, canonical_json(result))
+        except _HandOff as hand_off:
+            return self.workers.call(hand_off.worker, wire)
         except MethodNotAllowed as exc:
             return _error(405, exc.message, exc.allow)
         except FastError as exc:
             return _error(exc.http_status, exc.message)
         except Exception:  # last-resort guard: the traceback goes to stderr, not the client
             traceback.print_exc()
-            return _error(500, "internal server error")
+            return internal_error()
 
     def wsgi_app(self, environ, start_response):
         """The WSGI entry that `cli.GatewayServer` calls.
@@ -216,7 +246,9 @@ class Gateway:
             handle = self.machine.lookup(FunctionRef(segments[0], segments[1]))
         else:
             raise NotFound("Not found")
-        to_do, payload = self._argument_payload(*self._call_arguments(req))
+        params, body = self._call_arguments(req)
+        self._hand_off(self._to_do(params, body) in DATA_PARALLEL)
+        to_do, payload = self._argument_payload(params, body)
         return self._run_wire(handle, to_do, payload)
 
     def handle_fast(self, req: WireRequest) -> Value:
@@ -238,6 +270,7 @@ class Gateway:
             raise BadRequest("fns is required when the path names no function")
         if to_uri is None and not fn_names:
             raise BadRequest("to_uri is required when calling a single function")
+        self._hand_off(self._to_do(params, body) in DATA_PARALLEL)
         to_do, payload = self._argument_payload(params, body)
         if fn_names:
             result: Value = {}
@@ -253,7 +286,7 @@ class Gateway:
         return {"status": "success", "to_uri": to_uri}
 
     def handle_query(self, req: WireRequest) -> Value:
-        from .query_language import PostTo, parse
+        from .query_language import PostTo, holds_combinator, parse
 
         params, body = self._call_arguments(req)
         text = params.get("q")
@@ -264,9 +297,18 @@ class Gateway:
         expr = parse(text)
         if isinstance(expr, PostTo) and req.method != "POST":
             raise MethodNotAllowed("Post queries require POST", "POST")
+        self._hand_off(holds_combinator(expr, DATA_PARALLEL))
         return self.engine.evaluate(expr)
 
     # --- request plumbing
+
+    def _hand_off(self, data_parallel: bool) -> None:
+        """Raise _HandOff with an idle worker for a data-parallel call, if
+        there is one; else return, and the call runs on this thread."""
+        if data_parallel and self.workers is not None:
+            worker = self.workers.idle()
+            if worker is not None:
+                raise _HandOff(worker)
 
     @staticmethod
     def _tail_segments(path: str, prefix: str) -> list[str]:
@@ -311,12 +353,10 @@ class Gateway:
         resource.  The final payload passes through the template resolver;
         a fetched one only when its stored text holds a template.
         """
-        to_do = params.get("to_do") or "apply"
+        to_do = self._to_do(params, body)
         uri = params.get("uri")
         data = _ABSENT
         if isinstance(body, dict):
-            if isinstance(body.get("to_do"), str):
-                to_do = body["to_do"]
             if isinstance(body.get("uri"), str):
                 uri = body["uri"]
             if "data" in body:
@@ -340,6 +380,14 @@ class Gateway:
         if uri is not None:
             return to_do, self.resolver.fetch(uri)
         return to_do, self.resolver.resolve(data)
+
+    @staticmethod
+    def _to_do(params: dict, body) -> str:
+        """The call's combinator: a JSON body object's string "to_do", else
+        the "to_do" param, else apply."""
+        if isinstance(body, dict) and isinstance(body.get("to_do"), str):
+            return body["to_do"]
+        return params.get("to_do") or "apply"
 
     def _run_wire(self, handle: FunctionHandle, to_do: str, payload: Value) -> Value:
         result = self.machine.run(handle, to_do, payload)

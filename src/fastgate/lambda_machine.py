@@ -2,8 +2,10 @@
 
 Calls have no side effects and are deterministic: the same request yields
 the same serialized result every time, so any two requests commute.  The
-four dispatch modes are apply, map, reduce and filter.  Map runs on the
-calling thread, since pure-Python bodies cannot run in parallel under the GIL.
+four dispatch modes are apply, map, reduce and filter.  A map, reduce or
+filter runs on the calling thread, one element after another; `serve`
+gets parallelism from running whole data-parallel requests in worker
+processes (see `workers`), not from splitting one call.
 
 Every single call goes through `bind_and_call`, and its checks are made
 once where they can be: a handle's array arity bounds are computed at

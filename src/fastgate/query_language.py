@@ -319,6 +319,20 @@ def parse(text: str) -> QueryExpr:
     return _Parser(text).parse_query()
 
 
+def holds_combinator(expr: QueryExpr, combs: frozenset) -> bool:
+    """Whether `expr` holds a combinator named in `combs` (lower case),
+    in a function item or an operand as well."""
+    if isinstance(expr, PostTo):
+        return holds_combinator(expr.inner, combs)
+    if not isinstance(expr, CombExpr):
+        return False
+    return (
+        expr.comb in combs
+        or holds_combinator(expr.operand, combs)
+        or any(not isinstance(item, str) and holds_combinator(item, combs) for item in expr.fns)
+    )
+
+
 # --- printer
 
 

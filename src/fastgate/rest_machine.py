@@ -8,6 +8,8 @@ parses a fresh value from it.  Text is immutable, so no reader can change
 what another sees.  Reads never block each other; writes swap whole
 entries so a concurrent read observes either the old or the new value,
 never a partial one.
+A worker process's store sends its reads and writes to the server's
+(see `workers`), so the server's store is the only one.
 """
 
 from __future__ import annotations
@@ -86,9 +88,15 @@ class ResourceStore:
         text = canonical_json(value)  # ASCII, so its length is its size in bytes
         if len(text) > self.max_bytes:
             raise PayloadTooLarge(f"payload exceeds {self.max_bytes} bytes")
+        self.put_text(key, text)
+        return dict(SUCCESS)
+
+    def put_text(self, key: str, text: str) -> None:
+        """Store the canonical text of a value `post_resource` has checked
+        under its checked key: that method's last step, and the one write
+        a worker process's store sends to the server's."""
         with self._lock:
             self._entries[key] = text
-        return dict(SUCCESS)
 
     def delete_resource(self, uri: str) -> dict:
         key = check_key(uri)

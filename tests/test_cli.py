@@ -645,9 +645,10 @@ def _serve_process(port: int, *options: str) -> subprocess.Popen:
 
 
 # what a serving process has no use for: TLS, mail, an HTTP client or server
-# library, a thread pool (the same set as the CI step that checks it)
+# library, a thread pool, or multiprocessing and pickle, since the workers
+# need only os, socket and marshal (the same set as the CI step that checks it)
 _UNUSED_BY_SERVE = ["requests", "http.client", "ssl", "email", "http.server",
-                    "concurrent.futures"]
+                    "concurrent.futures", "multiprocessing", "pickle"]
 
 
 @pytest.mark.parametrize("module", ["fastgate.cli", "fastgate"])
