@@ -17,7 +17,6 @@ import sys
 import threading
 import time
 from contextlib import suppress
-from http import HTTPStatus
 from time import gmtime
 from urllib.parse import quote, urlsplit
 
@@ -25,6 +24,7 @@ import click
 
 from .config import ENV_CONFIG, build_app, load_config_file, make_config, parse_bind
 from .errors import FastError
+from .http_gateway import _REASONS, _error
 from .values import canonical_json, loads_strict
 from .workers import WorkerPool, worker_count
 
@@ -44,16 +44,16 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct",
 
 
 class _GatewayHandler(socketserver.StreamRequestHandler):
-    """HTTP/1.1 in front of the server's WSGI app, one request at a time.
+    """HTTP/1.1 in front of the server's gateway, one request at a time.
 
     The request line and the header block are read once, as bytes, into the
     environ, and the body is checked and read by its Content-Length before
-    the app sees the request.  The connection stays open until the client
-    closes it or sends `Connection: close`, the request is HTTP/1.0, or the
-    client stays silent for IDLE_TIMEOUT_S.  Every method reaches the app, so
-    an unknown one gets the app's 405, not a 501.  A request not strictly
-    framed never does (RFC 9112): it gets a JSON error, with no body for a
-    HEAD, and the connection closes.
+    the gateway's `wsgi_app` sees the request.  The connection stays open
+    until the client closes it or sends `Connection: close`, the request is
+    HTTP/1.0, or the client stays silent for IDLE_TIMEOUT_S.  Every method
+    reaches the gateway, so an unknown one gets its 405, not a 501.  A
+    request not strictly framed never does (RFC 9112): it gets a JSON error,
+    with no body for a HEAD, and the connection closes.
     """
 
     disable_nagle_algorithm = True  # a reply's last partial segment goes out at once
@@ -112,8 +112,9 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
         if not (declared.isascii() and declared.isdigit()):
             return self._reject(400, "Content-Length must be a non-negative integer")
         length = int(declared)
-        if length > self.server.max_bytes:  # refused unread, and never invited by a 100
-            return self._reject(413, f"request body exceeds {self.server.max_bytes} bytes")
+        gateway = self.server.gateway
+        if length > gateway.max_bytes:  # refused unread, and never invited by a 100
+            return self._reject(413, f"request body exceeds {gateway.max_bytes} bytes")
         if length and http11 and environ.get("HTTP_EXPECT", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
@@ -125,15 +126,15 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
         options = environ.get("HTTP_CONNECTION", "").lower().split(",")
         close = not http11 or any(option.strip() == "close" for option in options)
         reply = []
-        chunks = self.server.app(environ, lambda status, headers: reply.extend((status, headers)))
+        chunks = gateway.wsgi_app(environ, lambda status, headers: reply.extend((status, headers)))
         status, headers = reply
         self._send(status, headers, b"".join(chunks), close)
         return not close
 
     def _reject(self, code: int, message: str = "") -> bool:
         """Answer a request the reader refused with a JSON error, and close."""
-        phrase = HTTPStatus(code).phrase
-        body = canonical_json({"message": message or phrase}).encode("utf-8")
+        phrase = _REASONS[code]
+        body = _error(code, message or phrase).text.encode("utf-8")
         headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
         self._send(f"{code} {phrase}", headers, body, close=True)
         return False
@@ -150,22 +151,22 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
 
 
 class GatewayServer(socketserver.ThreadingTCPServer):
-    """Serves the WSGI callable `app` with one thread per connection.
+    """Serves a `Gateway` with one thread per connection.
 
-    A request body over `max_bytes` is refused with a 413 before it is read;
-    pass the app's own cap, so that the two agree.
+    Each request goes to `gateway.wsgi_app`, looked up per request, so a
+    wrapper set on the instance serves too.  A body over `gateway.max_bytes`
+    is refused with a 413 before it is read.
 
     `server_close` lets the requests in flight finish and ends every
-    connection before it returns, so the app serves nothing after it and
+    connection before it returns, so the gateway serves nothing after it and
     a store saved then holds every acknowledged write.
     """
 
     allow_reuse_address = True
     daemon_threads = False  # server_close joins them
 
-    def __init__(self, address: tuple, app, max_bytes: int):
-        self.app = app
-        self.max_bytes = max_bytes
+    def __init__(self, address: tuple, gateway):
+        self.gateway = gateway
         self.closing = False
         self._date = (None, "")  # the last (second, Date line)
         self._connections: set = set()
@@ -266,9 +267,7 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
     # socket, and no lock that another thread held
     workers = bundle.gateway.workers = WorkerPool.fork(bundle.gateway, worker_count())
     try:
-        server = GatewayServer(
-            (config.host, config.port), bundle.gateway.wsgi_app, config.max_bytes
-        )
+        server = GatewayServer((config.host, config.port), bundle.gateway)
     except OSError as exc:
         workers.close()
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)

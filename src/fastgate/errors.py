@@ -38,14 +38,13 @@ class AmbiguousFunction(FastError):
 
 
 class ParseError(FastError):
-    """Query text rejected; carries the offset and the token set expected there."""
+    """Query text rejected at an offset, which its message ends with."""
 
     http_status = 400
 
-    def __init__(self, message: str, position: int, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
-        self.expected = expected
 
 
 # --- 404

@@ -22,10 +22,11 @@ the stored text as is, neither parsed nor re-encoded, and a wire POST body
 is validated once, when it is parsed.
 `wsgi_app` is its one transport adapter: it takes PATH_INFO still
 percent-encoded and a body that the server has already framed.
-`cli.GatewayServer` serves it over HTTP/1.1 with persistent connections,
-and reads each request head and body once, strictly (RFC 9112).  An
-unexpected exception answers a fixed 500 message and logs its traceback to
-stderr.
+`cli.GatewayServer` serves a `Gateway` over HTTP/1.1 with persistent
+connections: it reads each request head and body once, strictly
+(RFC 9112), refuses a body over `max_bytes` unread, and calls `wsgi_app`.
+An unexpected exception answers a fixed 500 message and logs its traceback
+to stderr.
 
 A data-parallel call goes to an idle process of `workers`, a
 `workers.WorkerPool`, when it has one: a `/lambda` or `/fast` call whose

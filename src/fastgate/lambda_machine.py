@@ -7,12 +7,11 @@ filter runs on the calling thread, one element after another; `serve`
 gets parallelism from running whole data-parallel requests in worker
 processes (see `workers`), not from splitting one call.
 
-Every single call goes through `bind_and_call`, and its checks are made
-once where they can be: a handle's array arity bounds are computed at
-registration, so an in-bounds array payload is spread straight into the
-function, and a result whose exact type is a finite float, an int, a str,
-a bool or None is returned without a walk.  Any other payload or result takes the full
-check, with the same errors and messages.
+Every single call goes through `bind_and_call`, which binds the payload,
+checks the binding against the handle's arity bounds (computed once, at
+registration), calls, and returns a result whose exact type is a finite
+float, an int, a str, a bool or None without a walk.  Any other result
+takes the full check.
 
 A map, reduce or filter does its per-target work once per call, not once
 per element: it looks up the function, its arity bounds and the purity
@@ -119,24 +118,15 @@ def _bind(target, payload: Value):
     Any other value is passed as a single positional argument.  `target`
     is a FunctionHandle or a FunctionValue; both carry `fn` and `label`.
     """
-    is_handle = isinstance(target, FunctionHandle)
-    if (
-        is_handle
-        and type(payload) is list
-        and target.min_args <= len(payload) <= target.max_args
-    ):
-        args, kwargs = payload, None  # a binding _check_binding would accept
-    elif isinstance(payload, list):
+    if isinstance(payload, list):
         args, kwargs = payload, {}
     elif isinstance(payload, dict):
         args, kwargs = [], payload
     else:
         args, kwargs = [payload], {}
-    if is_handle and kwargs is not None:
+    if isinstance(target, FunctionHandle):
         _check_binding(target, args, kwargs)
     try:
-        if kwargs is None:
-            return target.fn(*args)
         return target.fn(*args, **kwargs)
     except _BODY_ERRORS as exc:
         raise _body_error(target, exc) from None
@@ -159,17 +149,12 @@ def _body_error(target, exc: Exception) -> FastError:
 
 def _check_binding(handle: FunctionHandle, args: list, kwargs: dict) -> None:
     if args and not kwargs:
-        if handle.var_positional:
-            if len(args) < len(handle.required):
-                raise ArityMismatch(
-                    f"{handle.label} expects at least {len(handle.required)} "
-                    f"arguments, got {len(args)}"
-                )
-            return
-        if not (len(handle.required) <= len(args) <= len(handle.params)):
-            raise ArityMismatch(
-                f"{handle.label} expects {len(handle.params)} arguments, got {len(args)}"
-            )
+        if not handle.min_args <= len(args) <= handle.max_args:
+            if handle.var_positional:
+                expected = f"at least {len(handle.required)}"
+            else:
+                expected = len(handle.params)
+            raise ArityMismatch(f"{handle.label} expects {expected} arguments, got {len(args)}")
         return
     if not handle.var_keyword:
         unknown = sorted(set(kwargs) - set(handle.params))

@@ -28,32 +28,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import FunctionRef, FunctionValue
 from .rest_machine import normalize_uri
 from .values import DECODER, MAX_DEPTH, Value, validate_value
 
-KEYWORDS = frozenset(
-    {
-        "get",
-        "post",
-        "to",
-        "for",
-        "and",
-        "from",
-        "on",
-        "apply",
-        "map",
-        "reduce",
-        "filter",
-        "true",
-        "false",
-        "null",
-    }
-)
 COMBINATOR_WORDS = ("apply", "map", "reduce", "filter")
+_CONSTANTS = {"true": True, "false": False, "null": None}
+KEYWORDS = {"get", "post", "to", "for", "and", "from", "on", *COMBINATOR_WORDS, *_CONSTANTS}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _URI_RE = re.compile(r"/[^\s,()\[\]]+")
@@ -104,8 +88,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # combinators open around the current position
 
-    def error(self, message: str, expected=()) -> ParseError:
-        return ParseError(message, self.pos, frozenset(expected))
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos)
 
     def _ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -134,7 +118,7 @@ class _Parser:
         self._ws()
         match = _NAME_RE.match(self.text, self.pos)
         if not match:
-            raise self.error(f"expected {what}", {what})
+            raise self.error(f"expected {what}")
         self.pos = match.end()
         return match.group()
 
@@ -146,7 +130,7 @@ class _Parser:
 
     def expect_keyword(self, keyword: str) -> None:
         if not self.try_keyword(keyword):
-            raise self.error(f"expected {keyword!r}", {keyword})
+            raise self.error(f"expected {keyword!r}")
 
     def try_punct(self, char: str) -> bool:
         if self.peek_char() == char:
@@ -156,18 +140,16 @@ class _Parser:
 
     def expect_punct(self, char: str) -> None:
         if not self.try_punct(char):
-            raise self.error(f"expected {char!r}", {char})
+            raise self.error(f"expected {char!r}")
 
     def json_value(self) -> Value:
         self._ws()
         try:
             value, end = DECODER.raw_decode(self.text, self.pos)
         except ValueError as exc:
-            raise self.error(f"invalid JSON value: {exc}", {"JSON value"}) from None
+            raise self.error(f"invalid JSON value: {exc}") from None
         except RecursionError:
-            raise self.error(
-                f"JSON value exceeds nesting depth {MAX_DEPTH}", {"JSON value"}
-            ) from None
+            raise self.error(f"JSON value exceeds nesting depth {MAX_DEPTH}") from None
         validate_value(value, what="query literal")
         self.pos = end
         return value
@@ -176,12 +158,10 @@ class _Parser:
         self._ws()
         match = _URI_RE.match(self.text, self.pos)
         if not match:
-            raise self.error(f"expected {what}", {what})
+            raise self.error(f"expected {what}")
         uri = match.group()
         if not uri.startswith("/rest/"):
-            raise self.error(
-                f"{what} must start with /rest/, got {uri!r}", {"/rest/ URI"}
-            )
+            raise self.error(f"{what} must start with /rest/, got {uri!r}")
         self.pos = match.end()
         return uri
 
@@ -189,7 +169,7 @@ class _Parser:
 
     def parse_query(self) -> QueryExpr:
         if self.at_end():
-            raise self.error("empty query", {"query"})
+            raise self.error("empty query")
         verb = None
         keyword = self.peek_keyword()
         if keyword in ("get", "post"):
@@ -199,19 +179,17 @@ class _Parser:
         target = None
         if self.try_keyword("to"):
             if verb != "post":
-                raise self.error("a 'to' clause requires the Post verb", {"Post"})
+                raise self.error("a 'to' clause requires the Post verb")
             target = self.parse_uri("target URI")
         if verb == "post" and target is None:
-            raise self.error("Post requires a 'to' clause", {"to"})
+            raise self.error("Post requires a 'to' clause")
         if not self.at_end():
-            raise self.error("unexpected trailing input", {"end of input"})
+            raise self.error("unexpected trailing input")
         if target is not None:
             return PostTo(expr, target)
         return expr
 
     def parse_expr(self) -> QueryExpr:
-        if self.peek_keyword() in COMBINATOR_WORDS:
-            return self.parse_comb()
         name = self.peek_name()
         if name is not None and name.lower() not in KEYWORDS:
             self.take_name("name")
@@ -225,10 +203,7 @@ class _Parser:
         while True:
             key = self.take_name("parameter name")
             if key.lower() in KEYWORDS:
-                raise self.error(
-                    f"{key!r} is a reserved word, not a parameter name",
-                    {"parameter name"},
-                )
+                raise self.error(f"{key!r} is a reserved word, not a parameter name")
             self.expect_punct("=")
             bindings[key] = self.parse_binding_literal()
             if not self.try_keyword("and"):
@@ -240,10 +215,10 @@ class _Parser:
         if char == '"' or char == "-" or char.isdigit():
             return self.json_value()
         keyword = self.peek_keyword()
-        if keyword in ("true", "false", "null"):
+        if keyword in _CONSTANTS:
             self.take_name(keyword)
-            return {"true": True, "false": False, "null": None}[keyword]
-        raise self.error("expected a literal", {"number", "string", "true", "false", "null"})
+            return _CONSTANTS[keyword]
+        raise self.error("expected a literal")
 
     def parse_comb(self) -> CombExpr:
         start = self.pos
@@ -256,19 +231,13 @@ class _Parser:
         if self.try_keyword("from"):
             module = self.take_name("module name")
             if module.lower() in KEYWORDS:
-                raise self.error(
-                    f"{module!r} is a reserved word, not a module name", {"module name"}
-                )
+                raise self.error(f"{module!r} is a reserved word, not a module name")
         self.expect_keyword("on")
         operand = self.parse_operand()
         if comb in ("reduce", "filter") and len(fns) != 1:
-            raise ParseError(
-                f"{comb} takes exactly one function, got {len(fns)}", start, frozenset()
-            )
+            raise ParseError(f"{comb} takes exactly one function, got {len(fns)}", start)
         if len(fns) > 1 and not all(isinstance(fn, str) for fn in fns):
-            raise ParseError(
-                "batched function lists take plain names only", start, frozenset()
-            )
+            raise ParseError("batched function lists take plain names only", start)
         self.depth -= 1
         return CombExpr(comb, tuple(fns), module, operand)
 
@@ -288,12 +257,12 @@ class _Parser:
             return inner
         name = self.peek_name()
         if name is None or name.lower() in KEYWORDS:
-            raise self.error("expected a function name", {"function name", "("})
+            raise self.error("expected a function name")
         return self.take_name("function name")
 
     def parse_operand(self) -> QueryExpr:
         if self.at_end():
-            raise self.error("unexpected end of input", {"operand"})
+            raise self.error("unexpected end of input")
         char = self.peek_char()
         if char in '[{"' or char == "-" or char.isdigit():
             return Literal(self.json_value())
@@ -302,24 +271,24 @@ class _Parser:
         keyword = self.peek_keyword()
         if keyword in COMBINATOR_WORDS:
             return self.parse_comb()
-        if keyword in ("true", "false", "null"):
+        if keyword in _CONSTANTS:
             self.take_name(keyword)
-            return Literal({"true": True, "false": False, "null": None}[keyword])
+            return Literal(_CONSTANTS[keyword])
         name = self.peek_name()
         if name is not None and name.lower() not in KEYWORDS:
             self.take_name("name")
             return ResourceRef(f"/rest/{name}")
-        raise self.error("expected an operand", {"name", "literal", "combinator"})
+        raise self.error("expected an operand")
 
 
 def parse(text: str) -> QueryExpr:
     """Parse a query string into its AST; raises ParseError with a position."""
     if not isinstance(text, str):
-        raise ParseError("query must be a string", 0, frozenset())
+        raise ParseError("query must be a string", 0)
     return _Parser(text).parse_query()
 
 
-def holds_combinator(expr: QueryExpr, combs: frozenset) -> bool:
+def holds_combinator(expr: QueryExpr, combs: Collection[str]) -> bool:
     """Whether `expr` holds a combinator named in `combs` (lower case),
     in a function item or an operand as well."""
     if isinstance(expr, PostTo):

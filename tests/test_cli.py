@@ -9,7 +9,6 @@ import threading
 import time
 
 import pytest
-import requests
 from click.testing import CliRunner
 
 import fastgate
@@ -141,7 +140,7 @@ def test_serve_flag_overrides_env_config(tmp_path):
 @pytest.fixture(scope="module")
 def live_server():
     app = build_app()
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -222,9 +221,8 @@ def test_seed_round_trip(live_server, tmp_path):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "seeded /rest/books/trades"
-    fetched = requests.get(f"{url}/rest/books/trades", timeout=10)
-    assert fetched.status_code == 200
-    assert fetched.json() == payload["data"]  # envelope unwrapped on store
+    # envelope unwrapped on store
+    assert _request(url, "GET", "/rest/books/trades") == (200, payload["data"])
 
 
 def test_seed_accepts_full_rest_uris(live_server, tmp_path):
@@ -235,7 +233,7 @@ def test_seed_accepts_full_rest_uris(live_server, tmp_path):
         main, ["seed", str(path), "--uri", "/rest/answers/1", "--server", url]
     )
     assert result.exit_code == 0
-    assert requests.get(f"{url}/rest/answers/1", timeout=10).json() == 42
+    assert _request(url, "GET", "/rest/answers/1") == (200, 42)
 
 
 def test_seed_malformed_file_exits_1(live_server, tmp_path):
@@ -458,19 +456,28 @@ def test_expect_100_continue_invites_only_a_body_the_gateway_reads(live_server):
 
 def test_an_oversized_upload_is_refused_without_reading_it():
     app = build_app()
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, max_bytes=10)
+    app.gateway.max_bytes = 10
+    server = GatewayServer(("127.0.0.1", 0), app.gateway)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     url = "http://{}:{}".format(*server.server_address)
+    head = b"POST /rest/x HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: "
     try:
         # no body bytes follow: a server that waited for them would time the read out
-        request = b"POST /rest/x HTTP/1.1\r\nHost: t\r\nContent-Length: 1000\r\n\r\n"
-        [(status, headers, body)] = _raw_exchange(url, request)
+        [(status, headers, body)] = _raw_exchange(url, head + b"1000\r\n\r\n")
+        # a body of exactly the cap is read and served; one byte more is refused
+        [at_cap] = _raw_exchange(url, head + b"10\r\n\r\n[1,2,3,45]")
+        [over_cap] = _raw_exchange(url, head + b"11\r\n\r\n[1,2,3,456]")
     finally:
         server.shutdown()
         server.server_close()
     assert status == "HTTP/1.1 413 Request Entity Too Large"
     assert headers["Connection"] == "close"
     assert json.loads(body) == {"message": "request body exceeds 10 bytes"}
+    assert at_cap[0] == "HTTP/1.1 200 OK"
+    assert json.loads(at_cap[2]) == {"status": "success"}
+    assert over_cap[0] == "HTTP/1.1 413 Request Entity Too Large"
+    assert json.loads(over_cap[2]) == {"message": "request body exceeds 10 bytes"}
+    assert json.loads(app.store.canonical_dump()) == {"/rest/x": [1, 2, 3, 45]}
 
 
 def test_malformed_request_line_answers_json(live_server):
@@ -487,6 +494,15 @@ def _exchange(conn, method, path, value=None):
     conn.request(method, path, body, {"Content-Type": "application/json"})
     response = conn.getresponse()
     return response.status, json.loads(response.read())
+
+
+def _request(base: str, method: str, path: str, value=None) -> tuple:
+    """`_exchange` on a connection of its own to the server at `base`."""
+    conn = http.client.HTTPConnection(*_address(base), timeout=10)
+    try:
+        return _exchange(conn, method, path, value)
+    finally:
+        conn.close()
 
 
 def test_a_percent_encoded_path_names_the_same_resource_everywhere(live_server):
@@ -543,7 +559,7 @@ def test_a_request_target_outside_ascii_is_rejected(live_server):
 def test_a_path_is_decoded_once_for_the_allow_hook_and_the_store():
     app = build_app()
     app.gateway.allow = lambda method, path: not path.startswith("/rest/private/")
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     conn = http.client.HTTPConnection(*server.server_address, timeout=SOCKET_TIMEOUT_S)
     try:
@@ -586,7 +602,7 @@ def test_server_close_finishes_requests_in_flight_and_ends_idle_connections():
         return x
 
     app.machine.register_package("held", {"hold": hold})
-    server = GatewayServer(("127.0.0.1", 0), app.gateway.wsgi_app, app.gateway.max_bytes)
+    server = GatewayServer(("127.0.0.1", 0), app.gateway)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     address = server.server_address
     idle = http.client.HTTPConnection(*address, timeout=SOCKET_TIMEOUT_S)
@@ -646,7 +662,7 @@ def _serve_process(port: int, *options: str) -> subprocess.Popen:
 
 # what a serving process has no use for: TLS, mail, an HTTP client or server
 # library, a thread pool, or multiprocessing and pickle, since the workers
-# need only os, socket and marshal (the same set as the CI step that checks it)
+# need only os, socket and marshal (CI runs this test as a step of its own)
 _UNUSED_BY_SERVE = ["requests", "http.client", "ssl", "email", "http.server",
                     "concurrent.futures", "multiprocessing", "pickle"]
 
@@ -665,9 +681,9 @@ def _wait_until_serving(base: str) -> None:
     deadline = time.time() + 20
     while True:
         try:
-            if requests.get(f"{base}/healthz", timeout=2).status_code == 200:
+            if _request(base, "GET", "/healthz")[0] == 200:
                 return
-        except requests.RequestException:
+        except (OSError, http.client.HTTPException):
             if time.time() > deadline:
                 raise
             time.sleep(0.1)
@@ -681,14 +697,9 @@ def test_serve_process_flushes_store_on_sigint(tmp_path, signum):
     try:
         base = f"http://127.0.0.1:{port}"
         _wait_until_serving(base)
-        posted = requests.post(
-            f"{base}/rest/books/1", json={"data": {"title": "T"}}, timeout=10
-        )
-        assert posted.status_code == 200
-        answer = requests.get(
-            f"{base}/lambda/basic_arithmetic/add?a=1&b=2", timeout=10
-        )
-        assert answer.status_code == 200 and answer.json() == 3
+        posted = _request(base, "POST", "/rest/books/1", {"data": {"title": "T"}})
+        assert posted == (200, {"status": "success"})
+        assert _request(base, "GET", "/lambda/basic_arithmetic/add?a=1&b=2") == (200, 3)
         proc.send_signal(signum)
         _, stderr = proc.communicate(timeout=20)
     finally:

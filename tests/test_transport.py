@@ -259,7 +259,7 @@ class _Served:
         if old:
             self.server = GatewayServer(("127.0.0.1", 0), _OldAdapter(gateway).wsgi_app)
         else:
-            self.server = cli.GatewayServer(("127.0.0.1", 0), gateway.wsgi_app, gateway.max_bytes)
+            self.server = cli.GatewayServer(("127.0.0.1", 0), gateway)
         self.address = self.server.server_address
         serve = threading.Thread(target=self.server.serve_forever, args=(0.05,), daemon=True)
         serve.start()
