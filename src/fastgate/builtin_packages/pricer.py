@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from ..errors import DomainError, NoSolution
+from .arithmetic import _number
 
 VOL_LO = 1e-6
 VOL_HI = 10.0
@@ -35,11 +36,7 @@ _erfc, _exp, _log, _sqrt = math.erfc, math.exp, math.log, math.sqrt
 
 
 def _require_number(name: str, x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DomainError(f"{name} must be a number, got {type(x).__name__}")
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite")
-    return float(x)
+    return float(_number(name, x))
 
 
 def _check_params(strike, time, spot, vol) -> tuple[float, float, float, float]:

@@ -54,7 +54,7 @@ from .errors import (
     PayloadTooLarge,
     UnserializableResult,
 )
-from .lambda_machine import FunctionHandle, FunctionRef, FunctionValue
+from .lambda_machine import COMBINATORS, FunctionHandle, FunctionRef, FunctionValue
 from .rest_machine import DEFAULT_MAX_BYTES, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
@@ -63,7 +63,7 @@ RESERVED_PARAMS = frozenset(
 )
 
 # the combinators whose calls go to a worker process
-DATA_PARALLEL = frozenset({"map", "reduce", "filter"})
+DATA_PARALLEL = frozenset(COMBINATORS) - {"apply"}
 
 _ABSENT = object()
 
@@ -248,9 +248,9 @@ class Gateway:
         else:
             raise NotFound("Not found")
         params, body = self._call_arguments(req)
-        self._hand_off(self._to_do(params, body) in DATA_PARALLEL)
-        to_do, payload = self._argument_payload(params, body)
-        return self._run_wire(handle, to_do, payload)
+        to_do = self._to_do(params, body)
+        self._hand_off(to_do in DATA_PARALLEL)
+        return self._run_wire(handle, to_do, self._argument_payload(params, body))
 
     def handle_fast(self, req: WireRequest) -> Value:
         segments = self._tail_segments(req.path, "/fast/")
@@ -271,8 +271,9 @@ class Gateway:
             raise BadRequest("fns is required when the path names no function")
         if to_uri is None and not fn_names:
             raise BadRequest("to_uri is required when calling a single function")
-        self._hand_off(self._to_do(params, body) in DATA_PARALLEL)
-        to_do, payload = self._argument_payload(params, body)
+        to_do = self._to_do(params, body)
+        self._hand_off(to_do in DATA_PARALLEL)
+        payload = self._argument_payload(params, body)
         if fn_names:
             result: Value = {}
             for name in fn_names:
@@ -345,21 +346,24 @@ class Gateway:
             params.update(parse_qsl(self._body_text(req), keep_blank_values=True))
         return params, self._json_body(req)
 
-    def _argument_payload(self, params: dict, body):
-        """The (to_do, payload) pair for a lambda-style call.
+    def _argument_payload(self, params: dict, body) -> Value:
+        """The payload for a lambda-style call.
 
-        Argument priority: JSON body object (its "data" key, else its free
-        keys) > list or scalar body > "data" param > free query params.
-        A "uri" control field overrides inline data with a fetched
-        resource.  The final payload passes through the template resolver;
-        a fetched one only when its stored text holds a template.
+        A "uri" control field (a JSON body object's string "uri", else the
+        "uri" param) wins: the payload is the fetched resource, and no
+        inline form is read.  Otherwise the argument priority is: JSON body
+        object (its "data" key, else its free keys) > list or scalar body >
+        "data" param > free query params.  The final payload passes through
+        the template resolver; a fetched one only when its stored text
+        holds a template.
         """
-        to_do = self._to_do(params, body)
         uri = params.get("uri")
+        if isinstance(body, dict) and isinstance(body.get("uri"), str):
+            uri = body["uri"]
+        if uri is not None:
+            return self.resolver.fetch(uri)
         data = _ABSENT
         if isinstance(body, dict):
-            if isinstance(body.get("uri"), str):
-                uri = body["uri"]
             if "data" in body:
                 data = body["data"]
             else:
@@ -378,9 +382,7 @@ class Gateway:
                     if k not in RESERVED_PARAMS
                 }
                 data = free
-        if uri is not None:
-            return to_do, self.resolver.fetch(uri)
-        return to_do, self.resolver.resolve(data)
+        return self.resolver.resolve(data)
 
     @staticmethod
     def _to_do(params: dict, body) -> str:

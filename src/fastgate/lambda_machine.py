@@ -19,7 +19,9 @@ flag before the element loop, and spreads each in-bounds array element
 straight into the function, with the same body-error mapping and result
 check that `bind_and_call` makes.  Any other element, every element of a
 function value, and every element under check_purity go through
-`bind_and_call`.
+`bind_and_call`.  Map and filter share one element loop, `_each`, which
+also refuses a filter verdict that is not a bool; reduce has its own
+loop over pairs.
 
 With check_purity set, `bind_and_call` tests purity on every call, from any
 route or combinator: it calls on the input, then on a parse of the input's
@@ -32,6 +34,7 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass
+from itertools import compress
 from math import isfinite
 from typing import Callable, Optional
 
@@ -56,8 +59,6 @@ from .values import MAX_DEPTH, Value, canonical_json, validate_value
 COMBINATORS = ("apply", "map", "reduce", "filter")
 
 MODULE_NOT_AVAILABLE = "Module not available"
-
-_MISSING = object()
 
 
 class FunctionValue:
@@ -300,7 +301,7 @@ class LambdaMachine:
         if not isinstance(data, list):
             raise NotAnArray(f"{combinator} requires an array payload")
         if combinator == "map":
-            return self._map(target, data)
+            return self._each(target, data, "map")
         if combinator == "reduce":
             return self._reduce(target, data)
         return self._filter(target, data)
@@ -320,9 +321,19 @@ class LambdaMachine:
             return 1, 0  # none: every element goes through bind_and_call
         return target.min_args, target.max_args
 
-    def _map(self, target, data: list) -> list:
+    def _each(self, target, data: list, combinator: str) -> list:
+        """The checked results of `target` on each element of `data`, in order.
+
+        An in-bounds array element is spread straight into target.fn; any
+        other element goes through bind_and_call.  A finite float or a bool
+        skips the result check, which would return it unchanged.  A filter's
+        verdict must be a bool, tested here so that the first failing
+        element wins; a map's function values are refused after the loop,
+        so an element's error outranks an earlier element's function value.
+        """
         fn, call = target.fn, self.bind_and_call
         low, high = self._spread_lengths(target)
+        verdicts = combinator == "filter"
         results, functions = [], False
         try:
             for element in data:
@@ -332,20 +343,26 @@ class LambdaMachine:
                     except _BODY_ERRORS as exc:
                         raise _body_error(target, exc) from None
                     if type(result) is not float or not isfinite(result):
-                        result = _checked_result(result)
-                        functions = functions or isinstance(result, FunctionValue)
+                        if type(result) is not bool:
+                            result = _checked_result(result)
+                            functions = functions or isinstance(result, FunctionValue)
                 else:
                     result = call(target, element)
                     functions = functions or isinstance(result, FunctionValue)
+                if verdicts and result is not True and result is not False:
+                    raise DomainError(f"filter predicate must return a boolean, got {result!r}")
                 results.append(result)
         except Exception as exc:
             # the failing element is the one after the last result
-            raise _element_error(exc, "map", len(results)) from None
-        # a function value is only meaningful as a whole result, never
-        # as an array element nothing can consume
+            raise _element_error(exc, combinator, len(results)) from None
+        # a function value is only meaningful as a whole result, never as
+        # an array element nothing can consume; a filter refused it above
         if functions:
             raise UnserializableResult("map produced function values")
         return results
+
+    def _filter(self, target, data: list) -> list:
+        return list(compress(data, self._each(target, data, "filter")))
 
     def _reduce(self, target, data: list):
         if not data:
@@ -368,31 +385,6 @@ class LambdaMachine:
         except Exception as exc:
             raise _element_error(exc, "reduce", index) from None
         return _checked_result(accumulator)
-
-    def _filter(self, target, data: list) -> list:
-        fn, call = target.fn, self.bind_and_call
-        low, high = self._spread_lengths(target)
-        kept = []
-        try:
-            for index, element in enumerate(data):
-                if type(element) is list and low <= len(element) <= high:
-                    try:
-                        verdict = fn(*element)
-                    except _BODY_ERRORS as exc:
-                        raise _body_error(target, exc) from None
-                    if type(verdict) is not bool:
-                        verdict = _checked_result(verdict)
-                else:
-                    verdict = call(target, element)
-                if verdict is True:
-                    kept.append(element)
-                elif verdict is not False:
-                    raise DomainError(
-                        f"filter predicate must return a boolean, got {verdict!r}"
-                    )
-        except Exception as exc:
-            raise _element_error(exc, "filter", index) from None
-        return kept
 
 
 def _serialized(value) -> Optional[str]:

@@ -31,13 +31,12 @@ from dataclasses import dataclass
 from typing import Collection, Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
-from .lambda_machine import FunctionRef, FunctionValue
+from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
 from .rest_machine import normalize_uri
 from .values import DECODER, MAX_DEPTH, Value, validate_value
 
-COMBINATOR_WORDS = ("apply", "map", "reduce", "filter")
 _CONSTANTS = {"true": True, "false": False, "null": None}
-KEYWORDS = {"get", "post", "to", "for", "and", "from", "on", *COMBINATOR_WORDS, *_CONSTANTS}
+KEYWORDS = {"get", "post", "to", "for", "and", "from", "on", *COMBINATORS, *_CONSTANTS}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _URI_RE = re.compile(r"/[^\s,()\[\]]+")
@@ -269,7 +268,7 @@ class _Parser:
         if char == "/":
             return ResourceRef(self.parse_uri("operand URI"))
         keyword = self.peek_keyword()
-        if keyword in COMBINATOR_WORDS:
+        if keyword in COMBINATORS:
             return self.parse_comb()
         if keyword in _CONSTANTS:
             self.take_name(keyword)

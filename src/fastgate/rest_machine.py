@@ -8,8 +8,9 @@ parses a fresh value from it.  Text is immutable, so no reader can change
 what another sees.  Reads never block each other; writes swap whole
 entries so a concurrent read observes either the old or the new value,
 never a partial one.
-A worker process's store sends its reads and writes to the server's
-(see `workers`), so the server's store is the only one.
+A worker process's store keeps its own key checks and NotFound, but its
+entries are a mapping that sends each read and write of a key to the
+server's store (see `workers`), so the server's entries are the only ones.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ def check_key(key: str) -> str:
 
 
 class ResourceStore:
-    """Decoded URI (`check_key`) -> canonical JSON text, per-URI linearizable."""
+    """Decoded URI (`check_key`) -> canonical JSON text, per-URI linearizable.
+
+    `_entries` is the one seam: any mapping read and written by key serves
+    `get_text` and `put_text`, so a test can count reads and a worker can
+    send them to the server.  The other methods need the dict.
+    """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
@@ -93,8 +99,8 @@ class ResourceStore:
 
     def put_text(self, key: str, text: str) -> None:
         """Store the canonical text of a value `post_resource` has checked
-        under its checked key: that method's last step, and the one write
-        a worker process's store sends to the server's."""
+        under its checked key: that method's last step, and how the
+        server's store applies a write that a worker process sends."""
         with self._lock:
             self._entries[key] = text
 

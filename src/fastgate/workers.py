@@ -6,14 +6,17 @@ Python at a time, so threads give them no second CPU.  `WorkerPool.fork`
 forks processes that each keep the forked gateway and run its unchanged
 `handle` on whole requests that the server's gateway hands them (see
 `http_gateway`).  The server keeps the transport and the store: a
-worker's store sends each read (`get_text`) and each write (`put_text`)
-to the server's thread that handed it the request, which applies them to
-the server's store in the order sent.  So reads, writes, their order and
+worker keeps its forked `ResourceStore`, whose entries are swapped for a
+mapping that sends each read and each write of a key to the server's
+thread that handed it the request, which applies them to the server's
+store in the order sent.  The worker's store checks each key and raises
+NotFound itself, as the server's does.  So reads, writes, their order and
 their errors are those of the same call run in the server.
 
 Fork only before any thread starts, since a forked child holds just the
 thread that forked it, and a lock another thread held stays held there.
-Each message is a `marshal`-ed tuple after its length, in 8 bytes.
+Each message is a `marshal`-ed tuple, or the text or None that answers a
+read, after its length, in 8 bytes.
 A worker ignores SIGINT, so Ctrl-C on a terminal stops the server alone.
 It exits when it reads the end of its socket, which `WorkerPool.close`
 or the server's death closes.  A worker that dies answers its call in
@@ -31,8 +34,6 @@ import traceback
 from contextlib import suppress
 from typing import Optional
 
-from . import errors
-from .errors import FastError
 from .http_gateway import WireRequest, WireResponse, internal_error
 from .rest_machine import ResourceStore
 
@@ -52,12 +53,12 @@ def worker_count() -> int:
     return cpus if cpus > 1 else 0
 
 
-def _send(sock: socket.socket, message: tuple) -> None:
+def _send(sock: socket.socket, message) -> None:
     data = marshal.dumps(message)
     sock.sendall(len(data).to_bytes(_LENGTH, "little") + data)
 
 
-def _receive(reader) -> tuple:
+def _receive(reader):
     """The next message; EOFError when the other end closed before a whole one."""
     head = reader.read(_LENGTH)
     size = int.from_bytes(head, "little")
@@ -133,8 +134,8 @@ class WorkerPool:
         try:
             _send(worker.sock, (req.method, req.path, req.query, req.body, req.content_type))
             while (message := _receive(worker.reader))[0] != _REPLY:
-                if message[0] == _GET:
-                    _send(worker.sock, self._get_text(message[1]))
+                if message[0] == _GET:  # None for an absent key
+                    _send(worker.sock, self._store._entries.get(message[1]))
                 else:
                     self._store.put_text(message[1], message[2])
         except (EOFError, OSError):  # the worker died: only its exit closes its end
@@ -144,14 +145,6 @@ class WorkerPool:
             return internal_error()
         self._idle.append(worker)
         return WireResponse(message[1], message[2], message[3])
-
-    def _get_text(self, uri: str) -> tuple:
-        """The reply to a worker's read: ("", text), or the error's class name
-        and message."""
-        try:
-            return "", self._store.get_text(uri)
-        except FastError as exc:
-            return type(exc).__name__, exc.message
 
     def _drop(self, worker: _Worker) -> None:
         worker.close()
@@ -169,28 +162,22 @@ class WorkerPool:
                 os.waitpid(worker.pid, 0)
 
 
-class _StoreClient(ResourceStore):
-    """A worker's store: the server's store answers `get_text` and takes
-    `put_text`.
+class _ServerEntries:
+    """A worker store's `_entries`: each read and write of a key is sent to
+    the server's store, which answers a read with the text or None."""
 
-    `get_resource` and `post_resource` are the inherited methods, so a
-    value is read, checked and encoded here as in the server.  The other
-    methods are not reached from a call that a worker runs.
-    """
-
-    def __init__(self, sock: socket.socket, reader, max_bytes: int):
-        super().__init__(max_bytes)
+    def __init__(self, sock: socket.socket, reader):
         self._sock = sock
         self._reader = reader
 
-    def get_text(self, uri: str) -> str:
-        _send(self._sock, (_GET, uri))
-        error, text = _receive(self._reader)
-        if error:
-            raise getattr(errors, error)(text)
+    def __getitem__(self, key: str) -> str:
+        _send(self._sock, (_GET, key))
+        text = _receive(self._reader)
+        if text is None:
+            raise KeyError(key)
         return text
 
-    def put_text(self, key: str, text: str) -> None:
+    def __setitem__(self, key: str, text: str) -> None:
         _send(self._sock, (_PUT, key, text))
 
 
@@ -208,8 +195,7 @@ def _run_worker(gateway, sock: socket.socket, server_ends: list) -> None:
         for end in server_ends:
             end.close()
         reader = sock.makefile("rb")
-        store = _StoreClient(sock, reader, gateway.store.max_bytes)
-        gateway.store = gateway.resolver.store = gateway.engine.store = store
+        gateway.store._entries = _ServerEntries(sock, reader)
         gateway.allow = None  # the server's gateway ran the hook
         gateway.workers = None
         with suppress(EOFError, BrokenPipeError, ConnectionResetError):

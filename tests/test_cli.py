@@ -57,6 +57,9 @@ def test_make_config_precedence():
     config = make_config({"depth": 3}, depth_limit=None)
     assert config.depth_limit == 3
     assert make_config(None).depth_limit == 8
+    config = make_config({"store": "s.json", "check_purity": True})
+    assert config.store_path == "s.json"
+    assert config.check_purity is True
 
 
 @pytest.mark.parametrize(

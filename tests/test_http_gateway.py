@@ -354,12 +354,39 @@ def test_a_template_free_uri_payload_is_read_once_and_never_walked(bundle, clien
     assert walks == []
 
 
+def test_a_uri_wins_before_the_inline_arguments_are_parsed(client):
+    book = [[100, 1, 100, 0.2], [90, 0.5, 110, 0.3]]
+    client.post("/rest/book", json={"data": book})
+    expected = client.post("/lambda/pricer/price", json={"to_do": "map", "data": book})
+    reply = client.get(
+        "/lambda/pricer/price", query={"uri": "/rest/book", "to_do": "map", "data": "nope"}
+    )
+    assert reply == expected
+    assert reply[0] == 200 and len(reply[1]) == 2
+
+
 def test_template_malformed_maps_to_400(client):
     status, body = client.post(
         "/lambda/basic_arithmetic/add", json={"data": ["{{/rest/x", 1]}
     )
     assert status == 400
     assert "never closes" in body["message"]
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("{{{{/rest/n}}}}", "template body did not resolve to text"),
+        (
+            "{{/lambda/a/b/c}}",
+            "lambda template path needs one or two segments, got '/lambda/a/b/c'",
+        ),
+    ],
+)
+def test_template_that_names_nothing_maps_to_400(client, template, message):
+    client.post("/rest/n", json={"data": 5})
+    status, body = client.post("/lambda/basic_arithmetic/add", json={"data": [template, 1]})
+    assert (status, body) == (400, {"message": message})
 
 
 def test_template_results_stored_via_rest_are_raw(client):

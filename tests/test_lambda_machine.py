@@ -696,3 +696,31 @@ def test_combinator_element_errors_and_statuses(
     assert caught.value.message == expected
     status = 422 if error in (ArityMismatch, UnknownParameter) else 500
     assert caught.value.http_status == status
+
+
+@pytest.mark.parametrize("check_purity", [False, True], ids=["unchecked", "purity"])
+def test_a_filter_refuses_a_finite_float_verdict(machine, check_purity):
+    # a finite float passes the result check, so only the verdict test refuses it
+    machine.check_purity = check_purity
+    echo = machine.lookup(FunctionRef("checks", "bad_bool"))
+    with pytest.raises(DomainError) as caught:
+        machine.run(echo, "filter", [[True], [2.5], [0.0]])
+    assert caught.value.message == (
+        "filter element 1: filter predicate must return a boolean, got 2.5"
+    )
+
+
+def test_the_element_loop_checks_no_finite_float_or_bool(machine, monkeypatch):
+    # the result check would return these unchanged, so the loop skips it
+    checked, check = [], lambda_machine._checked_result
+    monkeypatch.setattr(
+        lambda_machine, "_checked_result", lambda result: checked.append(result) or check(result)
+    )
+    price = machine.lookup(FunctionRef("pricer", "price"))
+    positive = machine.lookup(FunctionRef("checks", "is_positive"))
+    assert len(machine.run(price, "map", [[100, 1, 100, 0.2], [90, 0.5, 110, 0.3]])) == 2
+    assert machine.run(positive, "map", [[1], [-2]]) == [True, False]
+    assert machine.run(positive, "filter", [[1], [-2], [3.5]]) == [[1], [3.5]]
+    assert checked == []
+    machine.run(machine.lookup(FunctionRef("checks", "double")), "map", [["ab"]])
+    assert checked == ["abab"]  # any other result takes the check

@@ -96,6 +96,13 @@ def test_post_to_round_trip():
     )
 
 
+# the expected message of some of the inputs below
+_PARSE_ERROR_MESSAGES = {
+    "Map [price] from pricer book": "expected 'on' at position 24",
+    "Map price on )": "expected an operand at position 13",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -121,11 +128,15 @@ def test_post_to_round_trip():
         "Apply f on /lambda/pricer/price",  # operand URIs name resources
         "Map from pricer on xs",
         "Apply f on [NaN]",  # non-finite JSON constants are rejected
+        "Map [price] from pricer book",  # "on" required after a bracketed list
+        "Map price on )",  # no operand where one belongs
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as caught:
         parse(text)
+    if text in _PARSE_ERROR_MESSAGES:
+        assert caught.value.message == _PARSE_ERROR_MESSAGES[text]
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -79,6 +79,8 @@ _CORPUS = {
     "filter": _call("/lambda/pred/positive", {"to_do": "filter", "data": [1, -2, 3.5]}),
     "filter-non-boolean": _call("/lambda/pricer/price", {"to_do": "filter", "uri": "/rest/book"}),
     "map-uri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/xs"}),
+    "uri-wins-over-data-param": _call("/lambda/pricer/price", method="GET",
+                                      query={"uri": "/rest/book", "to_do": "map", "data": "nope"}),
     "pct25-in-uri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/a%25b"}),
     "pct25-in-path": _call("/lambda/basic%5Farithmetic/add", {"to_do": "map", "data": [[1, 2]]}),
     "pct25-literal-in-path": _call("/lambda/basic_arithmetic/a%25dd", {"to_do": "map"}),
