@@ -273,7 +273,9 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)
     click.echo(f"serving on http://{config.host}:{config.port}", err=True)
     click.echo(f"packages: {', '.join(bundle.machine.packages())}", err=True)
-    click.echo(f"worker processes for map, reduce and filter: {len(workers)}", err=True)
+    click.echo(
+        f"worker processes for map, reduce, filter and large bodies: {len(workers)}", err=True
+    )
     if config.store_path:
         click.echo(f"store file: {config.store_path}", err=True)
     # SIGTERM (docker stop, systemd) takes the same path as Ctrl-C, so the store is flushed

@@ -28,13 +28,15 @@ connections: it reads each request head and body once, strictly
 An unexpected exception answers a fixed 500 message and logs its traceback
 to stderr.
 
-A data-parallel call goes to an idle process of `workers`, a
-`workers.WorkerPool`, when it has one: a `/lambda` or `/fast` call whose
-`to_do` is map, reduce or filter, or a `/query` that holds a Map, Reduce or
-Filter.  The handler finds that out from its own parse of the request, and
-the worker gets the request as the transport built it and runs `handle` on
-it.  Any other call, and a data-parallel one that finds no idle worker,
-runs on the caller's thread.
+A heavy request goes to an idle process of `workers`, a
+`workers.WorkerPool`, when it has one.  It is heavy when its body holds at
+least LARGE_BODY bytes, on any route, which `handle` checks before it
+routes; or when it is a data-parallel call, whatever its size: a `/lambda`
+or `/fast` call whose `to_do` is map, reduce or filter, or a `/query` that
+holds a Map, Reduce or Filter, which the handler finds out from its own
+parse of the request.  The worker gets the request as the transport built
+it and runs `handle` on it.  Any other request, and a heavy one that finds
+no idle worker, runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ RESERVED_PARAMS = frozenset(
 
 # the combinators whose calls go to a worker process
 DATA_PARALLEL = frozenset(COMBINATORS) - {"apply"}
+
+# a request body of at least this many bytes goes to a worker process on any
+# route: its decode, validation and canonical encoding then hold no lock that
+# the server's other requests need
+LARGE_BODY = 16 * 1024
 
 _ABSENT = object()
 
@@ -107,7 +114,7 @@ def internal_error() -> WireResponse:
 
 
 class _HandOff(Exception):
-    """Raised by a handler whose call an idle worker takes; `handle` sends it."""
+    """Raised for a request that an idle worker takes; `handle` sends it."""
 
     def __init__(self, worker):
         super().__init__()
@@ -121,7 +128,8 @@ class Gateway:
     denied requests answer 404 so the route's existence is not revealed.
     It sees a HEAD as the GET that answers it.
 
-    `workers`, None or a `workers.WorkerPool`, runs data-parallel calls.
+    `workers`, None or a `workers.WorkerPool`, runs heavy requests:
+    data-parallel calls and bodies of at least LARGE_BODY bytes.
     """
 
     def __init__(
@@ -154,6 +162,7 @@ class Gateway:
                 req = replace(req, method="GET")
             if self.allow is not None and not self.allow(req.method, req.path):
                 raise NotFound("Not found")
+            self._hand_off(req.body is not None and len(req.body) >= LARGE_BODY)
             result = self._route(req)
             if isinstance(result, WireResponse):  # a stored value's text, sent as is
                 return result
@@ -304,10 +313,12 @@ class Gateway:
 
     # --- request plumbing
 
-    def _hand_off(self, data_parallel: bool) -> None:
-        """Raise _HandOff with an idle worker for a data-parallel call, if
-        there is one; else return, and the call runs on this thread."""
-        if data_parallel and self.workers is not None:
+    def _hand_off(self, heavy: bool) -> None:
+        """Raise _HandOff with an idle worker for a heavy request (a body of
+        at least LARGE_BODY bytes, or a data-parallel call), if there is
+        one; else return, and the request runs on this thread.  A worker's
+        gateway has no workers, so there it always returns."""
+        if heavy and self.workers is not None:
             worker = self.workers.idle()
             if worker is not None:
                 raise _HandOff(worker)
@@ -349,18 +360,19 @@ class Gateway:
     def _argument_payload(self, params: dict, body) -> Value:
         """The payload for a lambda-style call.
 
-        A "uri" control field (a JSON body object's string "uri", else the
-        "uri" param) wins: the payload is the fetched resource, and no
-        inline form is read.  Otherwise the argument priority is: JSON body
-        object (its "data" key, else its free keys) > list or scalar body >
-        "data" param > free query params.  The final payload passes through
-        the template resolver; a fetched one only when its stored text
-        holds a template.
+        A "uri" control field (a JSON body object's "uri", else the "uri"
+        param; null is no uri, any other non-string a 400) wins: the
+        payload is the fetched resource, and no inline form is read.
+        Otherwise the argument priority is: JSON body object (its "data"
+        key, else its free keys) > list or scalar body > "data" param >
+        free query params.  The final payload passes through the template
+        resolver; a fetched one only when its stored text holds a template.
         """
-        uri = params.get("uri")
-        if isinstance(body, dict) and isinstance(body.get("uri"), str):
-            uri = body["uri"]
+        control = body if isinstance(body, dict) else {}  # its fields win over params
+        uri = control.get("uri", params.get("uri"))
         if uri is not None:
+            if not isinstance(uri, str):
+                raise BadRequest("uri must be a resource URI string")
             return self.resolver.fetch(uri)
         data = _ABSENT
         if isinstance(body, dict):

@@ -1,8 +1,11 @@
-"""Worker processes for the data-parallel calls: map, reduce and filter.
+"""Worker processes for heavy requests: the data-parallel calls (map, reduce
+and filter) and any request whose body holds at least
+`http_gateway.LARGE_BODY` bytes, such as a large resource write.
 
-Their time goes to pure-Python function bodies, the parse of the data and
-the encoding of the result, and the interpreter lock runs one thread's
-Python at a time, so threads give them no second CPU.  `WorkerPool.fork`
+Their time goes to pure-Python function bodies, the parse and validation of
+the data and the canonical encoding of the result or the stored value, and
+the interpreter lock runs one thread's Python at a time, so threads give
+them no second CPU.  `WorkerPool.fork`
 forks processes that each keep the forked gateway and run its unchanged
 `handle` on whole requests that the server's gateway hands them (see
 `http_gateway`).  The server keeps the transport and the store: a

@@ -365,6 +365,26 @@ def test_a_uri_wins_before_the_inline_arguments_are_parsed(client):
     assert reply[0] == 200 and len(reply[1]) == 2
 
 
+def test_a_uri_that_is_not_a_string_is_a_400(client):
+    client.post("/rest/book", json={"data": [[90, 1, 100, 0.2]]})
+    for uri in (3, ["/rest/book"], {"u": "/rest/book"}, True):
+        reply = client.post(
+            "/lambda/pricer/price", json={"to_do": "map", "uri": uri, "data": [[90, 1, 100, 0.2]]}
+        )
+        assert reply == (400, {"message": "uri must be a resource URI string"}), uri
+    # null is no uri, in the body as for /fast's to_uri: the inline data is used
+    inline = client.post("/lambda/pricer/price", json={"to_do": "map", "data": [[90, 1, 100, 0.2]]})
+    assert inline[0] == 200
+    assert client.post("/lambda/pricer/price", json={"to_do": "map", "uri": None,
+                                                     "data": [[90, 1, 100, 0.2]]}) == inline
+    # the body's field wins over the param, as it does for to_uri
+    assert client.post("/lambda/pricer/price", query={"uri": "/rest/book"},
+                       json={"to_do": "map", "uri": 3}) == (
+        400, {"message": "uri must be a resource URI string"})
+    assert client.post("/fast/pricer", json={"to_do": "map", "uri": 3, "fns": ["price"]}) == (
+        400, {"message": "uri must be a resource URI string"})
+
+
 def test_template_malformed_maps_to_400(client):
     status, body = client.post(
         "/lambda/basic_arithmetic/add", json={"data": ["{{/rest/x", 1]}

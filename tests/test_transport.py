@@ -10,6 +10,7 @@ ones the reader makes on purpose, listed in _CHANGED.
 """
 
 import http.client
+import os
 import random
 import re
 import socket
@@ -29,13 +30,15 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fastgate import build_app, cli
+from fastgate import build_app, cli, http_gateway
 from fastgate.errors import BadRequest, FastError, PayloadTooLarge
 from fastgate.http_gateway import WireRequest, _error
 from fastgate.rest_machine import DEFAULT_MAX_BYTES
 from fastgate.values import canonical_json
+from fastgate.workers import WorkerPool
 
 from test_rest_machine import Op, linearizable
+from test_workers import _hand_offs
 
 SOCKET_TIMEOUT_S = 5
 IDLE_TIMEOUT_S = 60.0  # read by the copied handler below
@@ -253,9 +256,11 @@ class _Served:
     `old` puts the old transport and the old adapter in front of the app.
     """
 
-    def __init__(self, old=False):
+    def __init__(self, old=False, workers=0):
         self.app = build_app()
         gateway = self.app.gateway
+        if workers:  # forked before this server's thread starts
+            gateway.workers = WorkerPool.fork(gateway, workers)
         if old:
             self.server = GatewayServer(("127.0.0.1", 0), _OldAdapter(gateway).wsgi_app)
         else:
@@ -267,6 +272,8 @@ class _Served:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
+        if self.app.gateway.workers is not None:
+            self.app.gateway.workers.close()
 
 
 @pytest.fixture
@@ -814,6 +821,26 @@ def test_the_reader_differs_only_where_it_means_to(data, old_statuses, new_statu
 
 
 def test_rest_is_linearizable_per_uri_over_keep_alive_connections(served):
+    _check_linearizable(served)
+
+
+def test_rest_is_linearizable_per_uri_when_writes_run_in_a_worker(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("workers need os.fork")
+    # every POST body reaches LARGE_BODY, so a POST that finds the one worker
+    # idle runs there, while GETs and DELETEs, which have no body, run here
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    served = _Served(workers=1)
+    try:
+        handed = _hand_offs(served.app.gateway.workers, monkeypatch)
+        _check_linearizable(served)
+        assert handed and {req.method for req in handed} == {"POST"}
+        assert len(served.app.gateway.workers) == 1
+    finally:
+        served.close()
+
+
+def _check_linearizable(served):
     rng = random.Random(11)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the server's threads finely

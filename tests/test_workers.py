@@ -2,7 +2,8 @@
 process left behind.
 
 The differential corpus runs each data-parallel call through a gateway
-with a one-worker pool and through one without, and compares the bytes.
+with a one-worker pool and through one without, and compares the bytes;
+so do the writes whose bodies reach LARGE_BODY bytes.
 The lifecycle tests are Linux-only: they read worker pids from /proc.
 """
 
@@ -17,9 +18,11 @@ import time
 
 import pytest
 
-from fastgate import build_app
+from fastgate import build_app, http_gateway
 from fastgate.config import Config
-from fastgate.http_gateway import WireRequest
+from fastgate.http_gateway import LARGE_BODY, WireRequest
+from fastgate.rest_machine import ResourceStore
+from fastgate.values import canonical_json
 from fastgate.workers import WorkerPool, worker_count
 
 from test_cli import _child_env, _free_port
@@ -123,6 +126,10 @@ _CORPUS = {
     "InvalidUri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/a?b"}),
     "MalformedTemplate": _call(_MAP_ADD, {"to_do": "map", "data": [["{{/nope}}", 1]]}),
     "BadRequest": _call("/fast/basic_arithmetic/add", {"to_do": "map", "to_uri": 3}),
+    "BadRequest-uri-number": _call("/lambda/pricer/price",
+                                   {"to_do": "map", "uri": 3, "data": [[90, 1, 100, 0.2]]}),
+    "BadRequest-uri-list": _call("/lambda/pricer/price", {"to_do": "map", "uri": ["/rest/book"],
+                                                          "data": [[90, 1, 100, 0.2]]}),
     "AmbiguousFunction": _call("/query", {"q": "Map add on xs"}),
     "ParseError": _call("/query", {"q": "Map add on"}),
     "NotFound": _call("/lambda/basic_arithmetic/add/extra", {"to_do": "map"}),
@@ -217,6 +224,72 @@ def test_apply_calls_run_in_process(pair, monkeypatch):
     assert _reply(pooled, _call("/rest/xs", method="GET"))[0] == 200
 
 
+# --- writes whose body reaches LARGE_BODY bytes, on any route
+
+
+def _hand_offs(pool, monkeypatch) -> list:
+    """The requests `pool` is given from now on, in order."""
+    handed, call = [], pool.call
+    monkeypatch.setattr(pool, "call", lambda worker, req: handed.append(req) or call(worker, req))
+    return handed
+
+
+_BOOK = [[90 + k % 7, 0.5, 100.25, 0.2] for k in range(40)]
+
+# (request, status); the corpus app caps bodies at 4096 bytes, so the tests
+# patch LARGE_BODY down to send each of these to the worker
+_LARGE_WRITES = {
+    "canonical": (_call("/rest/w/canonical", body=canonical_json(_BOOK).encode()), 200),
+    "envelope": (_call("/rest/w/envelope", {"data": _BOOK}), 200),
+    "non-canonical": (_call("/rest/w/loose", body=b' { "z" : [ 2.50 , 1E2, -0.0 ] ,\n'
+                                                   b' "a" : "\\u0041\\u00e9" } '), 200),
+    "non-finite": (_call("/rest/w/inf", body=b"[1, 1e400]"), 400),
+    "depth-65": (_call("/rest/w/deep", _nested(65, 1)), 400),
+    "malformed": (_call("/rest/w/bad", body=b'{"data": [1, 2'), 400),
+    "not-utf8": (_call("/rest/w/bytes", body=b'["\xff\xfe"]'), 400),
+    "form": (_call("/rest/w/form", body=b"data=%5B1%5D",
+                   content_type="application/x-www-form-urlencoded"), 400),
+    "put": (_call("/rest/w/put", {"data": _BOOK[:10]}, method="PUT"), 200),
+    "empty-segment": (_call("/rest/w//x", [1]), 400),
+    "braces": (_call("/rest/w/{x}", [1]), 400),
+    # 2,800 bytes of 1e5 literals whose canonical text, 100000.0 each, passes 4096
+    "canonical-outgrows-max-bytes": (
+        _call("/rest/w/big", body=("[" + ",".join(["1e5"] * 700) + "]").encode()), 413),
+}
+
+
+def test_a_large_write_in_a_worker_answers_and_stores_as_in_process(pair, monkeypatch):
+    local, pooled = pair
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    handed = _hand_offs(pooled.gateway.workers, monkeypatch)
+    for name, (req, status) in _LARGE_WRITES.items():
+        reply = _reply(pooled, req)
+        assert reply == _reply(local, req), name
+        assert reply[0] == status, (name, reply)
+        assert handed[-1] is req, name
+        assert pooled.store.canonical_dump() == local.store.canonical_dump(), name
+    assert local.store.get_text("/rest/w/loose") == '{"a":"A\\u00e9","z":[2.5,100.0,-0.0]}'
+    assert len(pooled.gateway.workers) == 1
+
+
+def test_a_body_of_large_body_bytes_goes_to_a_worker_and_one_byte_less_does_not(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("workers need os.fork")
+    app = build_app()
+    app.gateway.workers = WorkerPool.fork(app.gateway, 1)
+    try:
+        handed = _hand_offs(app.gateway.workers, monkeypatch)
+        for size, reaches_worker in ((LARGE_BODY - 1, False), (LARGE_BODY, True)):
+            body = b"[" + b" " * (size - 3) + b"1]"
+            assert len(body) == size
+            req = _call("/rest/edge", body=body)
+            assert _reply(app, req) == (200, '{"status":"success"}', "")
+            assert (handed[-1:] == [req]) is reaches_worker, size
+            assert app.store.get_text("/rest/edge") == "[1]"
+    finally:
+        app.gateway.workers.close()
+
+
 # --- the worker lifecycle (Linux)
 
 linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
@@ -259,10 +332,11 @@ def _sockets(pid: int) -> int:
     return sum(link.startswith("socket:") for link in links)
 
 
-def _start_serving(port: int) -> tuple:
-    """A `fastgate serve` subprocess that answers, and its worker pids."""
+def _start_serving(port: int, *options: str) -> tuple:
+    """A `fastgate serve` subprocess that answers, with `options` added, and
+    its worker pids."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "fastgate.cli", "serve", "--bind", f"127.0.0.1:{port}"],
+        [sys.executable, "-m", "fastgate.cli", "serve", "--bind", f"127.0.0.1:{port}", *options],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(),
     )
     deadline = time.time() + PROC_TIMEOUT_S
@@ -309,6 +383,35 @@ def test_no_worker_outlives_the_server(signum):
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+    assert _wait_ended(workers) == []
+
+
+@linux_only
+def test_a_large_write_made_in_a_worker_is_in_the_store_file_after_sigterm(tmp_path):
+    port = _free_port()
+    path = tmp_path / "store.json"
+    proc, workers = _start_serving(port, "--store", str(path))
+    text = canonical_json([[100 + k % 9, 0.5, 100.5, 0.25] for k in range(1000)])
+    assert len(text) >= LARGE_BODY
+    try:
+        assert len(workers) == worker_count()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=PROC_TIMEOUT_S)
+        try:
+            conn.request("POST", "/rest/big", text.encode(), {"Content-Type": JSON})
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b'{"status":"success"}')
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=PROC_TIMEOUT_S)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
+    reloaded = ResourceStore()
+    reloaded.load(str(path))
+    assert reloaded.get_text("/rest/big") == text
     assert _wait_ended(workers) == []
 
 
