@@ -274,7 +274,8 @@ def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_pat
     click.echo(f"serving on http://{config.host}:{config.port}", err=True)
     click.echo(f"packages: {', '.join(bundle.machine.packages())}", err=True)
     click.echo(
-        f"worker processes for map, reduce, filter and large bodies: {len(workers)}", err=True
+        f"worker processes for map, reduce, filter and large resource writes: {len(workers)}",
+        err=True,
     )
     if config.store_path:
         click.echo(f"store file: {config.store_path}", err=True)

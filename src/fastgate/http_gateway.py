@@ -29,14 +29,14 @@ An unexpected exception answers a fixed 500 message and logs its traceback
 to stderr.
 
 A heavy request goes to an idle process of `workers`, a
-`workers.WorkerPool`, when it has one.  It is heavy when its body holds at
-least LARGE_BODY bytes, on any route, which `handle` checks before it
-routes; or when it is a data-parallel call, whatever its size: a `/lambda`
-or `/fast` call whose `to_do` is map, reduce or filter, or a `/query` that
-holds a Map, Reduce or Filter, which the handler finds out from its own
-parse of the request.  The worker gets the request as the transport built
-it and runs `handle` on it.  Any other request, and a heavy one that finds
-no idle worker, runs on the caller's thread.
+`workers.WorkerPool`, when it has one.  It is heavy when it is a resource
+write (a `/rest` POST or PUT) whose body holds at least LARGE_BODY bytes, or
+a data-parallel call, whatever its size: a `/lambda` or `/fast` call whose
+`to_do` is map, reduce or filter, or a `/query` that holds a Map, Reduce or
+Filter.  The handler finds that out from its own parse of the request, and
+the worker gets the request as the transport built it and runs `handle` on
+it.  Any other request, and a heavy one that finds no idle worker, runs on
+the caller's thread.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ RESERVED_PARAMS = frozenset(
 # the combinators whose calls go to a worker process
 DATA_PARALLEL = frozenset(COMBINATORS) - {"apply"}
 
-# a request body of at least this many bytes goes to a worker process on any
-# route: its decode, validation and canonical encoding then hold no lock that
-# the server's other requests need
+# a resource write whose body holds at least this many bytes goes to a worker
+# process: its decode, validation and canonical encoding then hold no lock
+# that the server's other requests need
 LARGE_BODY = 16 * 1024
 
 _ABSENT = object()
@@ -129,7 +129,7 @@ class Gateway:
     It sees a HEAD as the GET that answers it.
 
     `workers`, None or a `workers.WorkerPool`, runs heavy requests:
-    data-parallel calls and bodies of at least LARGE_BODY bytes.
+    data-parallel calls and resource writes of at least LARGE_BODY bytes.
     """
 
     def __init__(
@@ -162,7 +162,6 @@ class Gateway:
                 req = replace(req, method="GET")
             if self.allow is not None and not self.allow(req.method, req.path):
                 raise NotFound("Not found")
-            self._hand_off(req.body is not None and len(req.body) >= LARGE_BODY)
             result = self._route(req)
             if isinstance(result, WireResponse):  # a stored value's text, sent as is
                 return result
@@ -239,6 +238,7 @@ class Gateway:
             return WireResponse(200, self.store.get_text(req.path))
         if req.method == "DELETE":
             return self.store.delete_resource(req.path)
+        self._hand_off(req.body is not None and len(req.body) >= LARGE_BODY)
         body = self._json_body(req)
         if body is _ABSENT:
             raise BadRequest("a JSON body is required to store a resource")
@@ -267,11 +267,8 @@ class Gateway:
             raise NotFound("Not found")
         module = segments[0]
         params, body = self._call_arguments(req)
-        control = body if isinstance(body, dict) else {}  # its fields win over params
-        to_uri = control.get("to_uri", params.get("to_uri"))
-        fn_names = self._fns_list(control.get("fns", params.get("fns")))
-        if to_uri is not None and not isinstance(to_uri, str):
-            raise BadRequest("to_uri must be a resource URI string")
+        fn_names = self._fns_list(self._control(params, body, "fns"))
+        to_uri = self._control_uri(params, body, "to_uri")
         if to_uri is not None and req.method != "POST":
             raise MethodNotAllowed("posting a result to a URI requires POST", "POST")
         if len(segments) == 2 and fn_names:
@@ -314,10 +311,11 @@ class Gateway:
     # --- request plumbing
 
     def _hand_off(self, heavy: bool) -> None:
-        """Raise _HandOff with an idle worker for a heavy request (a body of
-        at least LARGE_BODY bytes, or a data-parallel call), if there is
-        one; else return, and the request runs on this thread.  A worker's
-        gateway has no workers, so there it always returns."""
+        """Raise _HandOff with an idle worker for a heavy request (a
+        data-parallel call, or a resource write of at least LARGE_BODY
+        bytes), if there is one; else return, and the request runs on this
+        thread.  A worker's gateway has no workers, so there it always
+        returns."""
         if heavy and self.workers is not None:
             worker = self.workers.idle()
             if worker is not None:
@@ -357,6 +355,20 @@ class Gateway:
             params.update(parse_qsl(self._body_text(req), keep_blank_values=True))
         return params, self._json_body(req)
 
+    @staticmethod
+    def _control(params: dict, body, name: str):
+        """A control field: a JSON body object's `name`, else the param."""
+        if isinstance(body, dict) and name in body:
+            return body[name]
+        return params.get(name)
+
+    def _control_uri(self, params: dict, body, name: str) -> str | None:
+        """A URI control field; null is none, any other non-string a 400."""
+        uri = self._control(params, body, name)
+        if uri is not None and not isinstance(uri, str):
+            raise BadRequest(f"{name} must be a resource URI string")
+        return uri
+
     def _argument_payload(self, params: dict, body) -> Value:
         """The payload for a lambda-style call.
 
@@ -368,11 +380,8 @@ class Gateway:
         free query params.  The final payload passes through the template
         resolver; a fetched one only when its stored text holds a template.
         """
-        control = body if isinstance(body, dict) else {}  # its fields win over params
-        uri = control.get("uri", params.get("uri"))
+        uri = self._control_uri(params, body, "uri")
         if uri is not None:
-            if not isinstance(uri, str):
-                raise BadRequest("uri must be a resource URI string")
             return self.resolver.fetch(uri)
         data = _ABSENT
         if isinstance(body, dict):

@@ -1,6 +1,6 @@
 """Worker processes for heavy requests: the data-parallel calls (map, reduce
-and filter) and any request whose body holds at least
-`http_gateway.LARGE_BODY` bytes, such as a large resource write.
+and filter) and the resource writes whose body holds at least
+`http_gateway.LARGE_BODY` bytes.
 
 Their time goes to pure-Python function bodies, the parse and validation of
 the data and the canonical encoding of the result or the stored value, and

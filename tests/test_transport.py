@@ -828,7 +828,7 @@ def test_rest_is_linearizable_per_uri_when_writes_run_in_a_worker(monkeypatch):
     if not hasattr(os, "fork"):
         pytest.skip("workers need os.fork")
     # every POST body reaches LARGE_BODY, so a POST that finds the one worker
-    # idle runs there, while GETs and DELETEs, which have no body, run here
+    # idle runs there, while GETs and DELETEs, which are not writes, run here
     monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
     served = _Served(workers=1)
     try:

@@ -3,7 +3,7 @@ process left behind.
 
 The differential corpus runs each data-parallel call through a gateway
 with a one-worker pool and through one without, and compares the bytes;
-so do the writes whose bodies reach LARGE_BODY bytes.
+so do the resource writes whose bodies reach LARGE_BODY bytes.
 The lifecycle tests are Linux-only: they read worker pids from /proc.
 """
 
@@ -224,7 +224,7 @@ def test_apply_calls_run_in_process(pair, monkeypatch):
     assert _reply(pooled, _call("/rest/xs", method="GET"))[0] == 200
 
 
-# --- writes whose body reaches LARGE_BODY bytes, on any route
+# --- resource writes whose body reaches LARGE_BODY bytes
 
 
 def _hand_offs(pool, monkeypatch) -> list:
@@ -269,6 +269,31 @@ def test_a_large_write_in_a_worker_answers_and_stores_as_in_process(pair, monkey
         assert handed[-1] is req, name
         assert pooled.store.canonical_dump() == local.store.canonical_dump(), name
     assert local.store.get_text("/rest/w/loose") == '{"a":"A\\u00e9","z":[2.5,100.0,-0.0]}'
+    assert len(pooled.gateway.workers) == 1
+
+
+# a large body on a request that is not a resource write stays in process:
+# only get_text and put_text of the worker's store reach the server's
+_LARGE_BODIES_IN_PROCESS = {
+    "children": _call("/rest/w", {"data": _BOOK}, method="GET", query={"children": "true"}),
+    "get": _call("/rest/w/put", {"data": _BOOK}, method="GET"),
+    "delete": _call("/rest/w/put", {"data": _BOOK}, method="DELETE"),
+    "apply": _call("/lambda/basic_arithmetic/add", {"data": [1, 2], "pad": _BOOK}),
+}
+
+
+def test_a_large_body_that_is_not_a_resource_write_runs_in_process(pair, monkeypatch):
+    local, pooled = pair
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    for app in (local, pooled):
+        assert _reply(app, _call("/rest/w/put", {"data": _BOOK[:10]}))[0] == 200
+    handed = _hand_offs(pooled.gateway.workers, monkeypatch)
+    for name, req in _LARGE_BODIES_IN_PROCESS.items():
+        reply = _reply(pooled, req)
+        assert reply == _reply(local, req), name
+        assert reply[0] == 200, (name, reply)
+        assert pooled.store.canonical_dump() == local.store.canonical_dump(), name
+    assert handed == []
     assert len(pooled.gateway.workers) == 1
 
 
