@@ -57,15 +57,15 @@ from .errors import (
     UnserializableResult,
 )
 from .lambda_machine import COMBINATORS, FunctionHandle, FunctionRef, FunctionValue
+from .query_language import PostTo, holds_combinator, parse
 from .rest_machine import DEFAULT_MAX_BYTES, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
-RESERVED_PARAMS = frozenset(
-    {"data", "uri", "to_do", "to_uri", "fns", "module", "function", "q"}
-)
+RESERVED_PARAMS = frozenset({"data", "uri", "to_do", "to_uri", "fns", "q"})
 
-# the combinators whose calls go to a worker process
-DATA_PARALLEL = frozenset(COMBINATORS) - {"apply"}
+# the combinators whose calls go to a worker process; a tuple, so that a
+# `to_do` that cannot be hashed is tested without a TypeError
+DATA_PARALLEL = COMBINATORS[1:]
 
 # a resource write whose body holds at least this many bytes goes to a worker
 # process: its decode, validation and canonical encoding then hold no lock
@@ -248,13 +248,8 @@ class Gateway:
         return self.store.post_resource(req.path, body, validated=True)
 
     def handle_lambda(self, req: WireRequest) -> Value:
-        segments = self._tail_segments(req.path, "/lambda/")
-        if len(segments) == 1:
-            handle = self.machine.resolve_unique(segments[0])
-        elif len(segments) == 2:
-            # fail fast with 404 before reading args
-            handle = self.machine.lookup(FunctionRef(segments[0], segments[1]))
-        else:
+        handle = self.machine.resolve_path(req.path)  # a 404 before the arguments are read
+        if handle is None:
             raise NotFound("Not found")
         params, body = self._call_arguments(req)
         to_do = self._to_do(params, body)
@@ -262,7 +257,7 @@ class Gateway:
         return self._run_wire(handle, to_do, self._argument_payload(params, body))
 
     def handle_fast(self, req: WireRequest) -> Value:
-        segments = self._tail_segments(req.path, "/fast/")
+        segments = [seg for seg in req.path[len("/fast/") :].split("/") if seg]
         if not segments or len(segments) > 2:
             raise NotFound("Not found")
         module = segments[0]
@@ -294,15 +289,10 @@ class Gateway:
         return {"status": "success", "to_uri": to_uri}
 
     def handle_query(self, req: WireRequest) -> Value:
-        from .query_language import PostTo, holds_combinator, parse
-
-        params, body = self._call_arguments(req)
-        text = params.get("q")
-        if isinstance(body, dict) and isinstance(body.get("q"), str):
-            text = body["q"]
-        if not text:
+        text = self._control(*self._call_arguments(req), "q")
+        if text is None or text == "":
             raise BadRequest('missing query parameter "q"')
-        expr = parse(text)
+        expr = parse(text)  # a 400 for a q that is not a string
         if isinstance(expr, PostTo) and req.method != "POST":
             raise MethodNotAllowed("Post queries require POST", "POST")
         self._hand_off(holds_combinator(expr, DATA_PARALLEL))
@@ -320,10 +310,6 @@ class Gateway:
             worker = self.workers.idle()
             if worker is not None:
                 raise _HandOff(worker)
-
-    @staticmethod
-    def _tail_segments(path: str, prefix: str) -> list[str]:
-        return [seg for seg in path[len(prefix) :].split("/") if seg]
 
     def _json_body(self, req: WireRequest):
         """The parsed JSON body, _ABSENT when there is none or it is a form."""
@@ -357,7 +343,8 @@ class Gateway:
 
     @staticmethod
     def _control(params: dict, body, name: str):
-        """A control field: a JSON body object's `name`, else the param."""
+        """A control field (`uri`, `to_uri`, `to_do`, `fns` or `q`): a JSON body
+        object's `name`, else the query or form param; None for none."""
         if isinstance(body, dict) and name in body:
             return body[name]
         return params.get(name)
@@ -372,8 +359,7 @@ class Gateway:
     def _argument_payload(self, params: dict, body) -> Value:
         """The payload for a lambda-style call.
 
-        A "uri" control field (a JSON body object's "uri", else the "uri"
-        param; null is no uri, any other non-string a 400) wins: the
+        A "uri" control field (any non-string but null is a 400) wins: the
         payload is the fetched resource, and no inline form is read.
         Otherwise the argument priority is: JSON body object (its "data"
         key, else its free keys) > list or scalar body > "data" param >
@@ -405,15 +391,13 @@ class Gateway:
                 data = free
         return self.resolver.resolve(data)
 
-    @staticmethod
-    def _to_do(params: dict, body) -> str:
-        """The call's combinator: a JSON body object's string "to_do", else
-        the "to_do" param, else apply."""
-        if isinstance(body, dict) and isinstance(body.get("to_do"), str):
-            return body["to_do"]
-        return params.get("to_do") or "apply"
+    def _to_do(self, params: dict, body) -> Value:
+        """The `to_do` control field, apply when it is none or empty; a value
+        that names no combinator gets its 400 from `LambdaMachine.run`."""
+        to_do = self._control(params, body, "to_do")
+        return "apply" if to_do is None or to_do == "" else to_do
 
-    def _run_wire(self, handle: FunctionHandle, to_do: str, payload: Value) -> Value:
+    def _run_wire(self, handle: FunctionHandle, to_do: Value, payload: Value) -> Value:
         result = self.machine.run(handle, to_do, payload)
         if isinstance(result, FunctionValue):
             raise UnserializableResult(

@@ -9,7 +9,8 @@ processes (see `workers`), not from splitting one call.
 
 Every single call goes through `bind_and_call`, which binds the payload,
 checks the binding against the handle's arity bounds (computed once, at
-registration), calls, and returns a result whose exact type is a finite
+registration, or when a function value is built: a function value is a
+handle), calls, and returns a result whose exact type is a finite
 float, an int, a str, a bool or None without a walk.  Any other result
 takes the full check.
 
@@ -17,11 +18,10 @@ A map, reduce or filter does its per-target work once per call, not once
 per element: it looks up the function, its arity bounds and the purity
 flag before the element loop, and spreads each in-bounds array element
 straight into the function, with the same body-error mapping and result
-check that `bind_and_call` makes.  Any other element, every element of a
-function value, and every element under check_purity go through
-`bind_and_call`.  Map and filter share one element loop, `_each`, which
-also refuses a filter verdict that is not a bool; reduce has its own
-loop over pairs.
+check that `bind_and_call` makes.  Any other element, and every element
+under check_purity, go through `bind_and_call`.  Map and filter share one
+element loop, `_each`, which also refuses a filter verdict that is not a
+bool; reduce has its own loop over pairs.
 
 With check_purity set, `bind_and_call` tests purity on every call, from any
 route or combinator: it calls on the input, then on a parse of the input's
@@ -61,20 +61,6 @@ COMBINATORS = ("apply", "map", "reduce", "filter")
 MODULE_NOT_AVAILABLE = "Module not available"
 
 
-class FunctionValue:
-    """Opaque callable produced by a higher-order function.
-
-    Lives only inside an evaluation; returning one to the wire is an error.
-    """
-
-    def __init__(self, fn: Callable, label: str = "function"):
-        self.fn = fn
-        self.label = label
-
-    def __repr__(self):
-        return f"<FunctionValue {self.label}>"
-
-
 @dataclass(frozen=True)
 class FunctionRef:
     module: str
@@ -82,11 +68,12 @@ class FunctionRef:
 
 
 class FunctionHandle:
-    """A registered function plus its declared parameter names."""
+    """A registered function plus its declared parameter names and arity bounds."""
 
-    def __init__(self, module: str, name: str, fn: Callable):
+    def __init__(self, module: Optional[str], name: str, fn: Callable):
         self.module = module
         self.name = name
+        self.label = f"{module}.{name}"
         self.fn = fn
         sig = inspect.signature(fn)
         self.params = [
@@ -108,16 +95,29 @@ class FunctionHandle:
         self.min_args = max(1, len(self.required))
         self.max_args = float("inf") if self.var_positional else len(self.params)
 
-    @property
-    def label(self) -> str:
-        return f"{self.module}.{self.name}"
+
+class FunctionValue(FunctionHandle):
+    """Opaque callable produced by a higher-order function.
+
+    It is a handle with no module, so it is bound, checked and called as a
+    registered function is, and its callable must likewise have a signature.
+    It lives only inside an evaluation; returning one to the wire is an error.
+    """
+
+    def __init__(self, fn: Callable, label: str = "function"):
+        super().__init__(None, label, fn)
+        self.label = label
+
+    def __repr__(self):
+        return f"<FunctionValue {self.label}>"
 
 
-def _bind(target, payload: Value):
-    """Bind an argument payload and call: arrays positionally, objects by name.
+def _bind(target: FunctionHandle, payload: Value):
+    """Bind an argument payload, check it against the handle's signature and
+    call: arrays positionally, objects by name.
 
     Any other value is passed as a single positional argument.  `target`
-    is a FunctionHandle or a FunctionValue; both carry `fn` and `label`.
+    is any handle, a FunctionValue included.
     """
     if isinstance(payload, list):
         args, kwargs = payload, {}
@@ -125,8 +125,7 @@ def _bind(target, payload: Value):
         args, kwargs = [], payload
     else:
         args, kwargs = [payload], {}
-    if isinstance(target, FunctionHandle):
-        _check_binding(target, args, kwargs)
+    _check_binding(target, args, kwargs)
     try:
         return target.fn(*args, **kwargs)
     except _BODY_ERRORS as exc:
@@ -137,12 +136,10 @@ def _bind(target, payload: Value):
 _BODY_ERRORS = (TypeError, ValueError, ArithmeticError)
 
 
-def _body_error(target, exc: Exception) -> FastError:
-    """The gateway error for an exception in _BODY_ERRORS raised by a call of `target`."""
-    if isinstance(exc, TypeError):
-        # a handle's binding was already checked, so this came from its body
-        kind = DomainError if isinstance(target, FunctionHandle) else ArityMismatch
-        return kind(f"{target.label}: {exc}")
+def _body_error(target: FunctionHandle, exc: Exception) -> FastError:
+    """The gateway error for an exception in _BODY_ERRORS raised by a call of
+    `target`; the binding was already checked, so even a TypeError came from
+    the body."""
     if isinstance(exc, ZeroDivisionError):
         return DomainError(f"{target.label}: division by zero")
     return DomainError(f"{target.label}: {exc}")
@@ -250,6 +247,17 @@ class LambdaMachine:
             raise FunctionNotFound(f"Function not found: {ref.module}.{ref.function}")
         return handle
 
+    def resolve_path(self, path: str) -> Optional[FunctionHandle]:
+        """The function that a decoded `/lambda/<module>/<function>` or
+        `/lambda/<function>` path names; None for any other number of
+        segments.  Empty segments do not count."""
+        segments = [seg for seg in path.split("/")[2:] if seg]
+        if len(segments) == 2:
+            return self.lookup(FunctionRef(*segments))
+        if len(segments) == 1:
+            return self.resolve_unique(segments[0])
+        return None
+
     def resolve_unique(self, function: str) -> FunctionHandle:
         """Find a function by bare name; it must be unique across packages."""
         matches = [
@@ -317,7 +325,7 @@ class LambdaMachine:
 
     def _spread_lengths(self, target) -> tuple:
         """The (lowest, highest) array length spread straight into target.fn."""
-        if self.check_purity or not isinstance(target, FunctionHandle):
+        if self.check_purity:
             return 1, 0  # none: every element goes through bind_and_call
         return target.min_args, target.max_args
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from urllib.parse import parse_qsl, unquote
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
-from .lambda_machine import FunctionRef, FunctionValue
+from .lambda_machine import FunctionValue
 from .rest_machine import normalize_uri
 from .values import Value, canonical_json, parse_scalar
 
@@ -215,7 +215,11 @@ class TemplateResolver:
         if ref.kind == "rest":
             value, templated = self._load(ref.path)
             return self._walk(value, depth - 1) if templated else value
-        handle = self._lookup(ref.path)
+        handle = self.machine.resolve_path(unquote(ref.path))  # decoded once, as on the wire
+        if handle is None:
+            raise MalformedTemplate(
+                f"lambda template path needs one or two segments, got {ref.path!r}"
+            )
         args = {name: parse_scalar(raw) for name, raw in ref.args().items()}
         result = self.machine.bind_and_call(handle, args)
         if isinstance(result, FunctionValue):
@@ -223,13 +227,3 @@ class TemplateResolver:
                 "template resolved to a function value, which cannot be spliced"
             )
         return self._walk(result, depth - 1)
-
-    def _lookup(self, path: str):
-        segments = [unquote(s) for s in path.split("/")[2:] if s]
-        if len(segments) == 2:
-            return self.machine.lookup(FunctionRef(segments[0], segments[1]))
-        if len(segments) == 1:
-            return self.machine.resolve_unique(segments[0])
-        raise MalformedTemplate(
-            f"lambda template path needs one or two segments, got {path!r}"
-        )

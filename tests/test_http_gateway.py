@@ -659,6 +659,79 @@ def test_query_body_q_wins_over_param(client):
     assert (status, body) == (200, 3)
 
 
+def test_a_query_body_q_that_is_not_a_string_is_400(client):
+    assert client.post("/query", json={"q": 5}, query={"q": "Get xs"}) == (
+        400, {"message": "query must be a string at position 0"})
+
+
+# --- one rule for each part of a call: binding, naming and control fields
+
+
+@pytest.mark.parametrize(
+    "operand, message",
+    [
+        ("[3, 4]", "add(2) expects 1 arguments, got 2"),
+        ('{"y": 3, "z": 4}', "add(2) got unexpected parameter(s): z"),
+        ("{}", "add(2) missing required parameter(s): y"),
+    ],
+)
+def test_a_function_value_is_bound_as_a_registered_function_is(client, operand, message):
+    for query, reply in (
+        (f"Apply (Apply add on 2) from higher_order_arithmetic on {operand}", message),
+        (f"Map (Apply add on 2) from higher_order_arithmetic on [{operand}]",
+         f"map element 0: {message}"),
+    ):
+        status, body = client.post("/query", json={"q": query})
+        assert (status, body) == (422, {"message": reply})
+        assert "<locals>" not in body["message"]
+
+
+def test_a_type_error_in_a_function_value_body_is_a_domain_error(bundle, client):
+    bundle.machine.register_package(
+        "strings", {"joiner": lambda sep: FunctionValue(sep.join, f"joiner({sep!r})")}
+    )
+    q = 'Apply (Apply joiner on "-") from strings on 5'
+    assert client.post("/query", json={"q": q}) == (
+        500, {"message": "joiner('-'): can only join an iterable"})
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["basic_arithmetic/add", "basic_arithmetic%2Fadd", "basic%5Farithmetic/add",
+     "basic_arithmetic%252Fadd", "add"],
+)
+def test_a_lambda_template_names_what_its_path_names_on_the_wire(bundle, client, path):
+    bundle.machine.register_package("echo", {"same": lambda x: x})
+    wire = client.get(f"/lambda/{path}", query={"a": "50", "b": "50"})
+    spliced = client.post("/lambda/echo/same", json={"data": [f"{{{{/lambda/{path}?a=50&b=50}}}}"]})
+    assert spliced == wire
+
+
+@pytest.mark.parametrize("to_do", [5, ["map"], {}, True])
+def test_a_to_do_that_names_no_combinator_is_400(client, to_do):
+    for path, extra in (("/lambda/basic_arithmetic/add", {}), ("/fast/basic_arithmetic", {"fns": ["add"]})):
+        status, body = client.post(path, json={"to_do": to_do, "a": 1, "b": 2, **extra})
+        assert status == 400
+        assert body["message"].startswith("to_do must be one of apply, map, reduce, filter, got ")
+
+
+def test_a_null_or_empty_to_do_is_apply_and_a_body_field_wins(client):
+    for to_do in (None, ""):
+        assert client.post("/lambda/basic_arithmetic/add", json={"to_do": to_do, "a": 1, "b": 2}) == (
+            200, 3)
+    # the body's null wins over the param's map, as it does for uri
+    assert client.post("/lambda/basic_arithmetic/add", query={"to_do": "map"},
+                       json={"to_do": None, "data": [1, 2]}) == (200, 3)
+
+
+def test_module_and_function_are_free_parameter_names(bundle, client):
+    bundle.machine.register_package("p", {"f": lambda function: function, "g": lambda module: module})
+    assert client.post("/lambda/p/f", json={"function": 3}) == (200, 3)
+    assert client.get("/lambda/p/g", query={"module": "4"}) == (200, 4)
+    assert client.post("/lambda/basic_arithmetic/add", json={"a": 1, "b": 2, "module": "x"}) == (
+        422, {"message": "basic_arithmetic.add got unexpected parameter(s): module"})
+
+
 def test_query_via_form_encoded_body(client):
     client.post("/rest/xs", json={"data": [1, 2]})
     form = "application/x-www-form-urlencoded"
@@ -993,8 +1066,9 @@ _json_texts = st.one_of(
     json_values,
     _arguments,
     st.fixed_dictionaries({}, optional={
-        "data": json_values | _arguments, "uri": _param_values, "to_do": _param_values,
-        "fns": json_values, "to_uri": _param_values, "q": _param_values,
+        "data": json_values | _arguments, "uri": _param_values | json_values,
+        "to_do": _param_values | json_values, "fns": json_values,
+        "to_uri": _param_values | json_values, "q": _param_values | json_values,
     }),
 ).map(json.dumps)
 _bodies = st.one_of(
@@ -1017,8 +1091,8 @@ _call_arguments = {
 
 def _well_formed_call(function):
     args = _call_arguments[function]
-    body = args.map(lambda a: {"data": a}) | st.lists(args, max_size=3).map(
-        lambda rows: {"data": rows, "to_do": "map"}
+    body = args.map(lambda a: {"data": a}) | st.fixed_dictionaries(
+        {"data": st.lists(args, max_size=3), "to_do": st.just("map") | json_values}
     )
     return st.tuples(
         st.sampled_from(["GET", "POST"]),

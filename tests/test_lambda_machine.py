@@ -161,6 +161,29 @@ def test_function_values_pass_only_at_top_level(machine):
         machine.run(curried, "map", [[1], [2]])  # list of function values
 
 
+def test_a_function_value_is_bound_and_checked_as_a_handle(machine):
+    fn = FunctionValue(lambda y, z=0: y + z, "f")
+    assert (fn.min_args, fn.max_args, fn.label) == (1, 2, "f")
+    for payload, error, message in (
+        ([1, 2, 3], ArityMismatch, "f expects 2 arguments, got 3"),
+        ({"y": 1, "w": 2}, UnknownParameter, "f got unexpected parameter(s): w"),
+        ({"z": 1}, ArityMismatch, "f missing required parameter(s): y"),
+    ):
+        with pytest.raises(error) as caught:
+            machine.run(fn, "apply", payload)
+        assert caught.value.message == message
+    # in-bounds array elements are spread straight into the function
+    unspread = []
+    spreading = LambdaMachine()
+    spreading.bind_and_call = lambda target, payload: unspread.append(payload)
+    assert spreading.run(fn, "map", [[1], [1, 2]]) == [1, 3]
+    assert unspread == []
+    # the binding was checked, so a TypeError came from the body
+    with pytest.raises(DomainError) as caught:
+        machine.run(FunctionValue(lambda text: "-".join(text), "join"), "apply", 5)
+    assert caught.value.message == "join: can only join an iterable"
+
+
 def test_nonfinite_results_are_domain_errors(machine):
     add = machine.lookup(FunctionRef("basic_arithmetic", "add"))
     with pytest.raises(DomainError):

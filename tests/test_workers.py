@@ -107,6 +107,8 @@ _CORPUS = {
         "/query", {"q": "Apply add from basic_arithmetic on Filter positive from pred on [1, -2, 3]"}),
     "query-function-item": _call(
         "/query", {"q": "Map (Apply add on 2) from higher_order_arithmetic on [3, 4]"}),
+    "query-function-item-arity": _call(
+        "/query", {"q": "Map (Apply add on 2) from higher_order_arithmetic on [[3, 4]]"}),
     "function-value-result": _call("/lambda/higher_order_arithmetic/add",
                                    {"to_do": "map", "data": [1, 2]}),
     "query-function-value-result": _call(
