@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import signal
 import socket
@@ -22,7 +21,7 @@ from urllib.parse import quote, urlsplit
 
 import click
 
-from .config import ENV_CONFIG, build_app, load_config_file, make_config, parse_bind
+from .config import ENV_CONFIG, build_app, load_config_file, make_config
 from .errors import FastError
 from .http_gateway import _REASONS, _error
 from .values import canonical_json, loads_strict
@@ -225,9 +224,7 @@ def main():
 @click.option(
     "--packages", default=None, metavar="A,B", help="Builtin packages to enable."
 )
-@click.option(
-    "--store", "store_path", default=None, metavar="FILE", help="Persist resources here."
-)
+@click.option("--store", default=None, metavar="FILE", help="Persist resources here.")
 @click.option("--depth", default=None, type=int, help="Template nesting limit.")
 @click.option("--max-bytes", default=None, type=int, help="Payload size limit.")
 @click.option(
@@ -237,29 +234,21 @@ def main():
     "--config",
     "config_path",
     default=None,
+    envvar=ENV_CONFIG,
     metavar="FILE",
     help=f"JSON config file (or ${ENV_CONFIG}).",
 )
-def serve(bind, packages, store_path, depth, max_bytes, check_purity, config_path):
+def serve(bind, packages, store, depth, max_bytes, check_purity, config_path):
     """Run the gateway until interrupted."""
+    if packages is not None:
+        packages = [p.strip() for p in packages.split(",") if p.strip()]
+    # keyed as the config file is; a flag left out leaves the file's value
+    flags = {"bind": bind, "packages": packages, "store": store, "depth": depth,
+             "max_bytes": max_bytes, "check_purity": check_purity or None}
     try:
-        file_values = None
-        path = config_path or os.environ.get(ENV_CONFIG)
-        if path:
-            file_values = load_config_file(path)
-        overrides = {}
-        if bind is not None:
-            overrides["host"], overrides["port"] = parse_bind(bind)
-        if packages is not None:
-            overrides["packages"] = [p.strip() for p in packages.split(",") if p.strip()]
-        config = make_config(
-            file_values,
-            store_path=store_path,
-            depth_limit=depth,
-            max_bytes=max_bytes,
-            check_purity=True if check_purity else None,
-            **overrides,
-        )
+        values = load_config_file(config_path) if config_path else {}
+        values.update((key, value) for key, value in flags.items() if value is not None)
+        config = make_config(values)
         bundle = build_app(config)
     except (FastError, OSError) as exc:
         _fail(str(getattr(exc, "message", exc)), 1)

@@ -1,7 +1,9 @@
 """Configuration and application assembly.
 
-One JSON config format everywhere; command-line flags override file
-values, and the FAST_CONFIG environment variable points at the file.
+One set of settings keys everywhere: the JSON config file and the `serve`
+flags both spell them `bind`, `packages`, `store`, `depth`, `max_bytes`
+and `check_purity`, and `make_config` is their one reader.  Flags win
+over the file, which the FAST_CONFIG environment variable may name.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-def make_config(file_values: Optional[dict] = None, **overrides) -> Config:
-    """Defaults, then file values, then non-None overrides; validated."""
+def make_config(values: dict) -> Config:
+    """A validated Config from settings keyed as the config file is; a key
+    left out keeps its default."""
     config = Config()
-    values = dict(file_values or {})
     if "bind" in values:
-        config.host, config.port = parse_bind(str(values["bind"]))
+        config.host, config.port = parse_bind(_as_str(values["bind"], "bind"))
     if "packages" in values:
         packages = values["packages"]
         if not isinstance(packages, list) or not all(
@@ -97,7 +99,7 @@ def make_config(file_values: Optional[dict] = None, **overrides) -> Config:
             raise InvalidValue("config packages must be an array of names")
         config.packages = packages
     if "store" in values:
-        config.store_path = str(values["store"])
+        config.store_path = _as_str(values["store"], "store")
     if "depth" in values:
         config.depth_limit = _as_int(values["depth"], "depth")
     if "max_bytes" in values:
@@ -106,13 +108,13 @@ def make_config(file_values: Optional[dict] = None, **overrides) -> Config:
         if not isinstance(values["check_purity"], bool):
             raise InvalidValue("config check_purity must be a boolean")
         config.check_purity = values["check_purity"]
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if not hasattr(config, name):
-            raise InvalidValue(f"unknown config field: {name}")
-        setattr(config, name, value)
     return config.validate()
+
+
+def _as_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidValue(f"config {what} must be a string")
+    return value
 
 
 def _as_int(value, what: str) -> int:
@@ -125,7 +127,6 @@ def _as_int(value, what: str) -> int:
 class AppBundle:
     """Everything a server or test needs, wired together."""
 
-    config: Config
     store: ResourceStore
     machine: LambdaMachine
     resolver: TemplateResolver
@@ -143,4 +144,4 @@ def build_app(config: Optional[Config] = None) -> AppBundle:
     resolver = TemplateResolver(store, machine, config.depth_limit)
     engine = QueryEngine(machine, store)
     gateway = Gateway(store, machine, resolver, engine, max_bytes=config.max_bytes)
-    return AppBundle(config, store, machine, resolver, engine, gateway)
+    return AppBundle(store, machine, resolver, engine, gateway)

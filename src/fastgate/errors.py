@@ -9,6 +9,7 @@ class FastError(Exception):
     """Base class for all gateway-visible errors."""
 
     http_status = 500
+    allow = ""  # the reply's Allow field, which only a 405 sets
 
     def __init__(self, message: str):
         super().__init__(message)

@@ -168,10 +168,8 @@ class Gateway:
             return WireResponse(200, canonical_json(result))
         except _HandOff as hand_off:
             return self.workers.call(hand_off.worker, wire)
-        except MethodNotAllowed as exc:
-            return _error(405, exc.message, exc.allow)
         except FastError as exc:
-            return _error(exc.http_status, exc.message)
+            return _error(exc.http_status, exc.message, exc.allow)
         except Exception:  # last-resort guard: the traceback goes to stderr, not the client
             traceback.print_exc()
             return internal_error()

@@ -16,11 +16,11 @@ Grammar (normative):
 
 Keywords are case-insensitive and reserved.  A bare NAME operand denotes
 the resource /rest/<NAME>; a URI operand (or "to" target) must be an
-explicit /rest/ path.  "from" scopes function-name resolution over the
-whole function list, parenthesized items included, but not the operand.
-Reduce and filter take exactly one function; a batched (multi-function)
-list is legal for map and apply and its items must be plain names.
-Combinators nest at most MAX_DEPTH deep.
+explicit /rest/ path once percent-decoded.  "from" scopes function-name
+resolution over the whole function list, parenthesized items included,
+but not the operand.  Reduce and filter take exactly one function; a
+batched (multi-function) list is legal for map and apply and its items
+must be plain names.  Combinators nest at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from typing import Collection, Optional, Union
+from urllib.parse import unquote
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
@@ -154,12 +155,14 @@ class _Parser:
         return value
 
     def parse_uri(self, what: str) -> str:
+        """The URI's raw text, which evaluation decodes; its /rest/ prefix
+        is read once decoded, so /rest%2Fx names /rest/x, as on the wire."""
         self._ws()
         match = _URI_RE.match(self.text, self.pos)
         if not match:
             raise self.error(f"expected {what}")
         uri = match.group()
-        if not uri.startswith("/rest/"):
+        if not unquote(uri).startswith("/rest/"):
             raise self.error(f"{what} must start with /rest/, got {uri!r}")
         self.pos = match.end()
         return uri

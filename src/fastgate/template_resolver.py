@@ -1,10 +1,12 @@
 """Server-side `{{...}}` substitution inside argument payloads.
 
 A template body is a path starting with /rest/ (fetch the resource) or
-/lambda/ (apply a function to its query-string arguments).  A string leaf
-that is exactly one template becomes the typed result; a template embedded
-in a longer string is substituted as JSON text (strings verbatim).  A
-backslash immediately before "{{" makes the braces literal.
+/lambda/ (apply a function to its query-string arguments), read once the
+path is percent-decoded: `{{/rest%2Fx}}` reads /rest/x, as `GET /rest%2Fx`
+does.  A string leaf that is exactly one template becomes the typed
+result; a template embedded in a longer string is substituted as JSON
+text (strings verbatim).  A backslash immediately before "{{" makes the
+braces literal.
 
 Resolution runs innermost-first: templates inside a body are substituted
 before the body is parsed, and templates inside a fetched result are
@@ -41,7 +43,7 @@ class TemplateRef:
 
     raw: str
     kind: str  # "rest" | "lambda"
-    path: str
+    path: str  # percent-decoded once
     query: str
 
     def args(self) -> dict[str, str]:
@@ -103,16 +105,21 @@ def _unescape(text: str) -> str:
 
 
 def _parse_ref(body: str) -> TemplateRef:
-    trimmed = body.strip()
-    if not trimmed:
+    """Split the query off, decode the path once and read the kind from the
+    decoded path, as the wire does (RFC 3986 section 2.4).  A /rest/ ref
+    carries its whole body decoded, so the store refuses a query in it; a
+    /lambda/ ref carries the decoded path and the raw query."""
+    raw = body.strip()
+    if not raw:
         raise MalformedTemplate("empty template body")
-    if trimmed.startswith("/rest/"):
-        return TemplateRef(trimmed, "rest", trimmed, "")
-    if trimmed.startswith("/lambda/"):
-        path, _, query = trimmed.partition("?")
-        return TemplateRef(trimmed, "lambda", path, query)
+    raw_path, _, query = raw.partition("?")
+    path = unquote(raw_path)
+    if path.startswith("/rest/"):
+        return TemplateRef(raw, "rest", unquote(raw), "")
+    if path.startswith("/lambda/"):
+        return TemplateRef(raw, "lambda", path, query)
     raise MalformedTemplate(
-        f"template body must start with /rest/ or /lambda/, got {trimmed!r}"
+        f"template body must start with /rest/ or /lambda/, got {raw!r}"
     )
 
 
@@ -161,14 +168,15 @@ class TemplateResolver:
             raise DepthExceeded("template nesting is too deep to resolve") from None
 
     def fetch(self, uri: str) -> Value:
-        """The value stored at `uri`, with its templates resolved."""
-        value, templated = self._load(uri)
+        """The value stored at `uri`, decoded once, with its templates resolved."""
+        value, templated = self._load(normalize_uri(uri))
         return self.resolve(value) if templated else value
 
-    def _load(self, uri: str) -> tuple[Value, bool]:
-        """The stored value and whether its text holds "{{", from one read,
-        so a concurrent write cannot pair one value with another's answer."""
-        text = self.store.get_text(normalize_uri(uri))
+    def _load(self, key: str) -> tuple[Value, bool]:
+        """The value stored at the decoded `key` and whether its text holds
+        "{{", from one read, so a concurrent write cannot pair one value
+        with another's answer."""
+        text = self.store.get_text(key)
         return json.loads(text), _OPEN in text
 
     def _walk(self, value: Value, depth: int) -> Value:
@@ -215,7 +223,7 @@ class TemplateResolver:
         if ref.kind == "rest":
             value, templated = self._load(ref.path)
             return self._walk(value, depth - 1) if templated else value
-        handle = self.machine.resolve_path(unquote(ref.path))  # decoded once, as on the wire
+        handle = self.machine.resolve_path(ref.path)
         if handle is None:
             raise MalformedTemplate(
                 f"lambda template path needs one or two segments, got {ref.path!r}"

@@ -81,19 +81,13 @@ def canonical_json(value: Value) -> str:
     return _ENCODER.encode(value)
 
 
-def loads_strict(text: str | bytes, *, what: str = "payload", depth: int = MAX_DEPTH) -> Value:
-    """Parse JSON, rejecting NaN/Infinity and enforcing value invariants.
+def loads_strict(text: str, *, what: str = "payload", depth: int = MAX_DEPTH) -> Value:
+    """Parse JSON text, rejecting NaN/Infinity and enforcing value invariants.
 
-    `text` is read as json.loads reads it, with the same errors.
+    `text` is read as json.loads reads a str, with the same errors.
     """
     try:
-        if isinstance(text, (bytes, bytearray)):
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
-        elif not isinstance(text, str):
-            raise TypeError(
-                f"the JSON object must be str, bytes or bytearray, not {text.__class__.__name__}"
-            )
-        elif text.startswith("\ufeff"):
+        if text.startswith("\ufeff"):
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         value = DECODER.decode(text)
     except ValueError as exc:

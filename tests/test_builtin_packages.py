@@ -98,6 +98,15 @@ def test_weather_rejects_out_of_range_or_non_numeric(latitude, longitude):
         weather.get_weather(latitude, longitude)
 
 
+@pytest.mark.parametrize(
+    "latitude,longitude,message",
+    [(float("nan"), 0, "latitude must be finite"), (0, float("-inf"), "longitude must be finite")],
+)
+def test_weather_reads_its_numbers_by_the_arithmetic_rule(latitude, longitude, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        weather.get_weather(latitude, longitude)
+
+
 def test_weather_is_deterministic():
     calls = [weather.get_weather(12.5, -42.25) for _ in range(5)]
     assert all(c == calls[0] for c in calls)

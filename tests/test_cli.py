@@ -46,17 +46,14 @@ def test_load_config_file(tmp_path):
 
 
 def test_make_config_precedence():
-    config = make_config(
-        {"bind": "0.0.0.0:9000", "depth": 3, "packages": ["pricer"]},
-        depth_limit=5,
-    )
+    file_values = {"bind": "0.0.0.0:9000", "depth": 3, "packages": ["pricer"]}
+    config = make_config({**file_values, "depth": 5})
     assert (config.host, config.port) == ("0.0.0.0", 9000)
-    assert config.depth_limit == 5  # explicit override beats the file
+    assert config.depth_limit == 5  # a flag laid over the file beats it
     assert config.packages == ["pricer"]
-    # None overrides are "not given"
-    config = make_config({"depth": 3}, depth_limit=None)
-    assert config.depth_limit == 3
-    assert make_config(None).depth_limit == 8
+    # a key left out keeps the file's value, or else the default
+    assert make_config({"depth": 3}).depth_limit == 3
+    assert make_config({}).depth_limit == 8
     config = make_config({"store": "s.json", "check_purity": True})
     assert config.store_path == "s.json"
     assert config.check_purity is True
@@ -74,6 +71,9 @@ def test_make_config_precedence():
         {"packages": ["pricer", "mystery"]},
         {"packages": "pricer"},
         {"check_purity": "yes"},
+        {"store": None},
+        {"store": ["a"]},
+        {"bind": 5},
     ],
 )
 def test_make_config_rejects_bad_values(file_values):
@@ -516,9 +516,12 @@ def test_a_percent_encoded_path_names_the_same_resource_everywhere(live_server):
         assert _exchange(conn, "POST", "/rest/caf%C3%A9", [1, 2]) == (200, {"status": "success"})
         # a query, a template splice and a uri argument all name it as text
         assert _exchange(conn, "POST", "/query", {"q": "Get /rest/café"}) == (200, [1, 2])
+        assert _exchange(conn, "POST", "/query", {"q": "Get /rest%2Fcaf%C3%A9"}) == (200, [1, 2])
         assert _exchange(conn, "POST", add, {"data": "{{/rest/café}}"}) == (200, 3)
+        assert _exchange(conn, "POST", add, {"data": "{{/rest%2Fcafé}}"}) == (200, 3)
         assert _exchange(conn, "POST", add, {"uri": "/rest/café"}) == (200, 3)
         assert _exchange(conn, "GET", add + "?uri=/rest/caf%C3%A9") == (200, 3)
+        assert _exchange(conn, "GET", "/rest%2Fcaf%C3%A9") == (200, [1, 2])
         # and a query's write is found by the wire path that encodes it
         assert _exchange(conn, "POST", "/query", {"q": "Post 5 to /rest/na%C3%AFve"}) == (
             200,

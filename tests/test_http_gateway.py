@@ -1,7 +1,7 @@
 import io
 import json
 import threading
-from urllib.parse import urlencode
+from urllib.parse import parse_qsl, urlencode
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -705,6 +705,33 @@ def test_a_lambda_template_names_what_its_path_names_on_the_wire(bundle, client,
     wire = client.get(f"/lambda/{path}", query={"a": "50", "b": "50"})
     spliced = client.post("/lambda/echo/same", json={"data": [f"{{{{/lambda/{path}?a=50&b=50}}}}"]})
     assert spliced == wire
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["/lambda%2Fbasic_arithmetic/add?a=1&b=2", "/lambda%2Fget_weather?latitude=0&longitude=0",
+     "/rest%2Fx", "/rest%2Fa%2541"],
+)
+def test_a_template_reads_its_kind_from_the_decoded_path(bundle, client, target):
+    bundle.machine.register_package("echo", {"same": lambda x: x})
+    bundle.store.post_resource("/rest/x", 4)
+    bundle.store.post_resource("/rest/a%41", 7)  # decoded once: a second decode reads /rest/aA
+    path, _, query = target.partition("?")
+    wire = client.get(path, query=dict(parse_qsl(query)))
+    assert wire[0] == 200
+    assert client.post("/lambda/echo/same", json={"data": [f"{{{{{target}}}}}"]}) == wire
+
+
+@pytest.mark.parametrize(
+    "q,reply",
+    [("Map add from basic_arithmetic on /rest%2Fbook", [3, 7]),
+     ("Post Map add from basic_arithmetic on book to /rest%2Fout", {"status": "success"})],
+)
+def test_a_query_uri_is_read_once_decoded(client, q, reply):
+    client.post("/rest/book", json={"data": [[1, 2], [3, 4]]})
+    assert client.post("/query", json={"q": q}) == (200, reply)
+    if q.startswith("Post"):
+        assert client.get("/rest/out") == (200, [3, 7])
 
 
 @pytest.mark.parametrize("to_do", [5, ["map"], {}, True])

@@ -259,13 +259,7 @@ def _result(call, *args, **kwargs):
 _DEEP = 100_000
 _TEXTS = [
     '{"b": [1, 2.5, null], "a": {"c": "x"}}',
-    b'{"a": [true, false]}',
-    bytearray(b"[1, 2]"),
-    '{"k": "v"}'.encode("utf-16"),
-    "[1]".encode("utf-32-le"),
-    b"\xef\xbb\xbf[1]",  # a UTF-8 BOM in bytes is allowed
-    "\ufeff[1]",  # in a str it is not
-    b"\x80",
+    "\ufeff[1]",  # a BOM in text is refused
     "NaN",
     "[Infinity]",
     '{"a": -Infinity}',
@@ -284,10 +278,6 @@ _TEXTS = [
     "1" + "0" * 4999,
     "-" + "9" * 4000,
     "1e400",
-    None,
-    42,
-    ["[]"],
-    memoryview(b"[]"),
 ]
 
 
@@ -302,7 +292,6 @@ def test_loads_strict_matches_json_loads(text):
     json_values.map(json.dumps)
     | json_values.map(canonical_json)
     | st.text(max_size=40)
-    | st.binary(max_size=40)
 )
 def test_loads_strict_matches_json_loads_on_any_text(text):
     assert _result(loads_strict, text) == _result(_old_loads_strict, text)

@@ -91,6 +91,7 @@ _CORPUS = {
     "missing-uri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/missing"}),
     "templates-in-fetched-value": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/tpl"}),
     "templates-inline": _call(_MAP_ADD, {"to_do": "map", "data": [["{{/rest/x}}", 1]]}),
+    "templates-pct2F": _call(_MAP_ADD, {"to_do": "map", "data": [["{{/rest%2Fx}}", 1]]}),
     "fast-fns": _call("/fast/pricer", {"to_do": "map", "uri": "/rest/book",
                                        "fns": ["price", "delta", "vega"]}),
     "fast-to-uri": _call("/fast/basic_arithmetic/add",
@@ -98,6 +99,7 @@ _CORPUS = {
     "fast-to-uri-over-get": _call("/fast/basic_arithmetic/add", method="GET",
                                   query={"to_do": "map", "data": "[[1,2]]", "to_uri": "/rest/o"}),
     "query-map": _call("/query", {"q": "Map add from basic_arithmetic on xs"}),
+    "query-pct2F-operand": _call("/query", {"q": "Map add from basic_arithmetic on /rest%2Fxs"}),
     "query-get-reduce": _call("/query", method="GET",
                               query={"q": "Reduce add from basic_arithmetic on [1, 2, 3]"}),
     "query-post-to": _call("/query", {"q": "Post Map add from basic_arithmetic on xs to /rest/s"}),
