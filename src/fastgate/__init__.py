@@ -14,7 +14,7 @@ from .http_gateway import Gateway, WireRequest, WireResponse
 from .lambda_machine import FunctionRef, FunctionValue, LambdaMachine
 from .query_language import QueryEngine, format_query, parse
 from .rest_machine import ResourceStore, normalize_uri
-from .template_resolver import TemplateResolver, scan
+from .template_resolver import TemplateResolver
 from .values import Value, canonical_json
 
 __version__ = "0.1.0"
@@ -41,6 +41,5 @@ __all__ = [
     "normalize_uri",
     "parse",
     "register_builtins",
-    "scan",
     "__version__",
 ]

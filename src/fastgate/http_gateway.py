@@ -15,7 +15,8 @@ drawn from {400, 404, 405, 413, 422, 500}; 200 bodies are the bare result.
 A 405 also carries the route's methods for the reply's `Allow` field
 (RFC 9110 section 15.5.6).
 The core handler is transport-free.  It percent-decodes the request path
-once, as UTF-8, so the allow hook, the router and the store see one form.
+once, as UTF-8 (`rest_machine.decode_uri`, which answers a malformed escape
+with a 400), so the allow hook, the router and the store see one form.
 It also encodes each reply's canonical JSON text, once, inside its guard:
 a reply that cannot be encoded gets the fixed 500.  A resource GET sends
 the stored text as is, neither parsed nor re-encoded, and a wire POST body
@@ -46,7 +47,7 @@ import traceback
 from dataclasses import dataclass, field, replace
 from http import HTTPStatus
 from typing import Callable, Optional
-from urllib.parse import parse_qsl, unquote
+from urllib.parse import parse_qsl
 
 from .errors import (
     BadRequest,
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .lambda_machine import COMBINATORS, FunctionHandle, FunctionRef, FunctionValue
 from .query_language import PostTo, holds_combinator, parse
-from .rest_machine import DEFAULT_MAX_BYTES, normalize_uri
+from .rest_machine import DEFAULT_MAX_BYTES, decode_uri, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
 RESERVED_PARAMS = frozenset({"data", "uri", "to_do", "to_uri", "fns", "q"})
@@ -157,7 +158,7 @@ class Gateway:
             if req.body is not None and len(req.body) > self.max_bytes:
                 raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
             if "%" in req.path:  # decoded once, so allow, router and store agree
-                req = replace(req, path=unquote(req.path))
+                req = replace(req, path=decode_uri(req.path))
             if req.method == "HEAD":  # served as its GET, which the allow hook sees too
                 req = replace(req, method="GET")
             if self.allow is not None and not self.allow(req.method, req.path):

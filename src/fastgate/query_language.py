@@ -29,11 +29,10 @@ import json
 import re
 from dataclasses import dataclass
 from typing import Collection, Optional, Union
-from urllib.parse import unquote
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
-from .rest_machine import normalize_uri
+from .rest_machine import decode_uri, normalize_uri
 from .values import DECODER, MAX_DEPTH, Value, validate_value
 
 _CONSTANTS = {"true": True, "false": False, "null": None}
@@ -156,13 +155,14 @@ class _Parser:
 
     def parse_uri(self, what: str) -> str:
         """The URI's raw text, which evaluation decodes; its /rest/ prefix
-        is read once decoded, so /rest%2Fx names /rest/x, as on the wire."""
+        is read once decoded, so /rest%2Fx names /rest/x, as on the wire, and
+        a malformed escape such as /rest/a%FF is an InvalidUri here."""
         self._ws()
         match = _URI_RE.match(self.text, self.pos)
         if not match:
             raise self.error(f"expected {what}")
         uri = match.group()
-        if not unquote(uri).startswith("/rest/"):
+        if not decode_uri(uri).startswith("/rest/"):
             raise self.error(f"{what} must start with /rest/, got {uri!r}")
         self.pos = match.end()
         return uri

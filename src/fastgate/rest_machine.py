@@ -8,6 +8,10 @@ parses a fresh value from it.  Text is immutable, so no reader can change
 what another sees.  Reads never block each other; writes swap whole
 entries so a concurrent read observes either the old or the new value,
 never a partial one.
+`decode_uri` is the one percent-decoder of URI text, for the wire path,
+templates, queries and `uri`/`to_uri`.  It refuses malformed escapes
+rather than replacing them, so two texts name one key only when they spell
+the same bytes (`%25` for a literal "%").
 A worker process's store keeps its own key checks and NotFound, but its
 entries are a mapping that sends each read and write of a key to the
 server's store (see `workers`), so the server's entries are the only ones.
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
-import urllib.parse
+from urllib.parse import unquote
 
 from .errors import InvalidUri, NotFound, PayloadTooLarge
 from .values import MAX_DEPTH, Value, canonical_json, loads_strict, validate_value
@@ -31,10 +36,25 @@ SUCCESS = {"status": "success"}
 RESOURCE_NOT_FOUND = "Resource not found"
 
 
+def decode_uri(text: str) -> str:
+    """Percent-decode URI text once, strictly: every "%" starts two hex
+    digits (RFC 3986 section 2.1) and the bytes spell UTF-8, so texts that
+    spell different bytes never decode to one name, as they would if bad
+    bytes became U+FFFD.  Anything else is an InvalidUri."""
+    if "%" not in text:
+        return text
+    if re.search("%(?![0-9A-Fa-f]{2})", text) is None:
+        try:
+            return unquote(text, errors="strict")
+        except UnicodeDecodeError:
+            pass
+    raise InvalidUri(f"URI is not percent-encoded UTF-8: {text}")
+
+
 def normalize_uri(path: str) -> str:
-    """Percent-decode resource URI text once, as UTF-8, and check the key."""
+    """Percent-decode resource URI text once (`decode_uri`) and check the key."""
     if isinstance(path, str):
-        path = urllib.parse.unquote(path)
+        path = decode_uri(path)
     return check_key(path)
 
 

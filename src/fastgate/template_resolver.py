@@ -3,10 +3,10 @@
 A template body is a path starting with /rest/ (fetch the resource) or
 /lambda/ (apply a function to its query-string arguments), read once the
 path is percent-decoded: `{{/rest%2Fx}}` reads /rest/x, as `GET /rest%2Fx`
-does.  A string leaf that is exactly one template becomes the typed
-result; a template embedded in a longer string is substituted as JSON
-text (strings verbatim).  A backslash immediately before "{{" makes the
-braces literal.
+does, and `{{/rest/a%FF}}` is refused, as that GET is (`decode_uri`).  A
+string leaf that is exactly one template becomes the typed result; a
+template embedded in a longer string is substituted as JSON text (strings
+verbatim).  A backslash immediately before "{{" makes the braces literal.
 
 Resolution runs innermost-first: templates inside a body are substituted
 before the body is parsed, and templates inside a fetched result are
@@ -22,12 +22,11 @@ puts "{{" outside a string, and only a string holding "{{" can change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from urllib.parse import parse_qsl, unquote
+from urllib.parse import parse_qsl
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
 from .lambda_machine import FunctionValue
-from .rest_machine import normalize_uri
+from .rest_machine import decode_uri, normalize_uri
 from .values import Value, canonical_json, parse_scalar
 
 DEFAULT_DEPTH_LIMIT = 8
@@ -37,39 +36,12 @@ _CLOSE = "}}"
 _ESCAPED_OPEN = "\\{{"
 
 
-@dataclass(frozen=True)
-class TemplateRef:
-    """One template occurrence: the trimmed body and its parsed halves."""
-
-    raw: str
-    kind: str  # "rest" | "lambda"
-    path: str  # percent-decoded once
-    query: str
-
-    def args(self) -> dict[str, str]:
-        """Query-string arguments as raw strings (lambda kind only).
-
-        Keys and values are stripped: parameter names can never contain
-        whitespace, and hand-written refs often pad around the "=".
-        """
-        return {
-            key.strip(): value.strip()
-            for key, value in parse_qsl(self.query, keep_blank_values=True)
-        }
-
-
-@dataclass(frozen=True)
-class _Span:
-    start: int  # index of "{{"
-    end: int  # index one past "}}"
-    body: str
-
-
-def _find_spans(text: str) -> list[_Span]:
-    """Top-level template spans, honoring the backslash escape.
+def _find_spans(text: str) -> list[tuple[int, int]]:
+    """Top-level template spans as (index of "{{", index one past "}}"),
+    honoring the backslash escape.
 
     Nested "{{" inside a span must balance; an unterminated opener is an
-    error.  A "}}" with no opener is literal text.  The scan jumps from one
+    error.  A "}}" with no opener is literal text.  The search jumps from one
     "{{" or "}}" to the next; a backslash before a "{{" always escapes it,
     since no token it could belong to ends in a backslash.
     """
@@ -96,7 +68,7 @@ def _find_spans(text: str) -> list[_Span]:
                 if text[opener - 1] != "\\":  # an escaped "{{" does not nest
                     depth += 1
                 i = opener + 2
-        spans.append(_Span(start, i, text[start + 2 : i - 2]))
+        spans.append((start, i))
     return spans
 
 
@@ -104,50 +76,24 @@ def _unescape(text: str) -> str:
     return text.replace(_ESCAPED_OPEN, _OPEN)
 
 
-def _parse_ref(body: str) -> TemplateRef:
-    """Split the query off, decode the path once and read the kind from the
-    decoded path, as the wire does (RFC 3986 section 2.4).  A /rest/ ref
-    carries its whole body decoded, so the store refuses a query in it; a
-    /lambda/ ref carries the decoded path and the raw query."""
+def _parse_ref(body: str) -> tuple[str, str, str]:
+    """(kind, path, query) of a template body.  Split the query off, decode
+    the path once and read the kind from the decoded path, as the wire does
+    (RFC 3986 section 2.4).  A /rest/ ref carries its whole body decoded, so
+    the store refuses a query in it; a /lambda/ ref carries the decoded path
+    and the raw query."""
     raw = body.strip()
     if not raw:
         raise MalformedTemplate("empty template body")
     raw_path, _, query = raw.partition("?")
-    path = unquote(raw_path)
+    path = decode_uri(raw_path)
     if path.startswith("/rest/"):
-        return TemplateRef(raw, "rest", unquote(raw), "")
+        return "rest", decode_uri(raw), ""
     if path.startswith("/lambda/"):
-        return TemplateRef(raw, "lambda", path, query)
+        return "lambda", path, query
     raise MalformedTemplate(
         f"template body must start with /rest/ or /lambda/, got {raw!r}"
     )
-
-
-def scan(payload: Value) -> list[TemplateRef]:
-    """All template occurrences in string leaves, depth-first.
-
-    An occurrence nested inside another's body is listed after its host.
-    Does not touch either machine.
-    """
-    found: list[TemplateRef] = []
-
-    def visit_text(text: str) -> None:
-        for span in _find_spans(text):
-            found.append(_parse_ref(span.body))
-            visit_text(span.body)
-
-    def visit(value: Value) -> None:
-        if isinstance(value, str):
-            visit_text(value)
-        elif isinstance(value, list):
-            for item in value:
-                visit(item)
-        elif isinstance(value, dict):
-            for item in value.values():
-                visit(item)
-
-    visit(payload)
-    return found
 
 
 class TemplateResolver:
@@ -193,17 +139,17 @@ class TemplateResolver:
         if not spans:
             return _unescape(text)
         if len(spans) == 1:
-            only = spans[0]
-            if not text[: only.start].strip() and not text[only.end :].strip():
+            start, end = spans[0]
+            if not text[:start].strip() and not text[end:].strip():
                 # the leaf is exactly one template: substitute the typed value
-                return self._dispatch(only.body, depth)
+                return self._dispatch(text[start + 2 : end - 2], depth)
         pieces = []
         cursor = 0
-        for span in spans:
-            pieces.append(_unescape(text[cursor : span.start]))
-            result = self._dispatch(span.body, depth)
+        for start, end in spans:
+            pieces.append(_unescape(text[cursor:start]))
+            result = self._dispatch(text[start + 2 : end - 2], depth)
             pieces.append(result if isinstance(result, str) else canonical_json(result))
-            cursor = span.end
+            cursor = end
         pieces.append(_unescape(text[cursor:]))
         return "".join(pieces)
 
@@ -219,16 +165,20 @@ class TemplateResolver:
             # a body that was itself one whole template yielded a typed value;
             # only string bodies can be parsed as references
             raise MalformedTemplate("template body did not resolve to text")
-        ref = _parse_ref(resolved_body)
-        if ref.kind == "rest":
-            value, templated = self._load(ref.path)
+        kind, path, query = _parse_ref(resolved_body)
+        if kind == "rest":
+            value, templated = self._load(path)
             return self._walk(value, depth - 1) if templated else value
-        handle = self.machine.resolve_path(ref.path)
+        handle = self.machine.resolve_path(path)
         if handle is None:
             raise MalformedTemplate(
-                f"lambda template path needs one or two segments, got {ref.path!r}"
+                f"lambda template path needs one or two segments, got {path!r}"
             )
-        args = {name: parse_scalar(raw) for name, raw in ref.args().items()}
+        # names never hold whitespace, and hand-written refs often pad around "="
+        args = {
+            name.strip(): parse_scalar(raw.strip())
+            for name, raw in parse_qsl(query, keep_blank_values=True)
+        }
         result = self.machine.bind_and_call(handle, args)
         if isinstance(result, FunctionValue):
             raise UnserializableResult(

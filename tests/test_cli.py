@@ -535,6 +535,33 @@ def test_a_percent_encoded_path_names_the_same_resource_everywhere(live_server):
         conn.close()
 
 
+def test_a_malformed_percent_encoding_names_no_resource_anywhere(live_server):
+    url, app = live_server
+    conn = http.client.HTTPConnection(*_address(url), timeout=SOCKET_TIMEOUT_S)
+    add = "/lambda/basic_arithmetic/add"
+    app.store.post_resource("/rest/a%zz", 7)
+    before = app.store.canonical_dump()
+    try:
+        # not UTF-8, a cut-off sequence, and a "%" that starts no escape
+        for bad in ("/rest/a%FF", "/rest/a%C3", "/rest/a%zz", "/rest/100%"):
+            refused = (400, {"message": f"URI is not percent-encoded UTF-8: {bad}"})
+            assert _exchange(conn, "POST", bad, [1]) == refused
+            assert _exchange(conn, "GET", bad) == refused
+            assert _exchange(conn, "POST", add, {"uri": bad}) == refused
+            assert _exchange(conn, "POST", "/fast/basic_arithmetic/add",
+                             {"data": [1, 2], "to_uri": bad}) == refused
+            assert _exchange(conn, "POST", add, {"data": "{{%s}}" % bad}) == refused
+            assert _exchange(conn, "POST", "/query", {"q": f"Get {bad}"}) == refused
+            assert _exchange(conn, "POST", "/query", {"q": f"Post 5 to {bad}"}) == refused
+        # an escaped "%" still names the key that holds one
+        assert _exchange(conn, "GET", "/rest/a%25zz") == (200, 7)
+    finally:
+        conn.close()
+    dump = app.store.canonical_dump()
+    assert dump == before
+    assert "\\ufffd" not in dump  # no byte was swapped for U+FFFD
+
+
 def test_a_request_target_outside_ascii_is_rejected(live_server):
     url, app = live_server
     message = {"message": "request target must be ASCII; percent-encode other bytes"}

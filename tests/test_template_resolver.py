@@ -11,7 +11,7 @@ from fastgate.errors import (
 )
 from fastgate.lambda_machine import LambdaMachine
 from fastgate.rest_machine import ResourceStore
-from fastgate.template_resolver import TemplateResolver, _find_spans, _Span, scan
+from fastgate.template_resolver import TemplateResolver, _find_spans
 
 
 @pytest.fixture
@@ -23,44 +23,20 @@ def env():
     return store, resolver
 
 
-def test_scan_finds_rest_refs():
-    refs = scan({"stock_portfolio": "{{/rest/rest_URI}}"})
-    assert len(refs) == 1
-    assert refs[0].kind == "rest"
-    assert refs[0].raw == "/rest/rest_URI"
-
-
-def test_scan_finds_lambda_refs_with_args():
-    refs = scan(
-        {"vol": "{{/lambda/pricer/implied_vol?strike=100&time=1&spot=20&price=2}}"}
-    )
-    assert len(refs) == 1
-    assert refs[0].kind == "lambda"
-    assert refs[0].path == "/lambda/pricer/implied_vol"
-    assert refs[0].args() == {"strike": "100", "time": "1", "spot": "20", "price": "2"}
-
-
-def test_scan_plain_payloads_are_empty():
-    assert scan({"a": 1, "b": "plain"}) == []
-    assert scan([True, None, 2.5]) == []
-
-
-def test_scan_trims_whitespace_and_orders_depth_first():
-    refs = scan(["{{ /rest/a }}", {"k": "{{/lambda/weather/get_weather?latitude={{/rest/b}}&longitude=0}}"}])
-    assert [r.raw for r in refs] == [
-        "/rest/a",
-        "/lambda/weather/get_weather?latitude={{/rest/b}}&longitude=0",
-        "/rest/b",
-    ]
+def test_scan_finds_lambda_refs_with_args(env):
+    _, resolver = env
+    # the arguments' names and values are trimmed
+    assert resolver.resolve("{{ /lambda/basic_arithmetic/add? a = 1 & b= 2 }}") == 3
 
 
 @pytest.mark.parametrize(
     "bad",
     ["{{/rest/a", "{{}}", "{{   }}", "{{/nowhere/x}}", "{{rest/x}}"],
 )
-def test_scan_rejects_malformed(bad):
+def test_scan_rejects_malformed(env, bad):
+    _, resolver = env
     with pytest.raises(MalformedTemplate):
-        scan({"k": bad})
+        resolver.resolve({"k": bad})
 
 
 def test_whole_string_substitutes_typed_value(env):
@@ -165,7 +141,7 @@ def test_resolution_of_pure_refs_never_mutates_the_store(env):
     assert store.canonical_dump() == before
 
 
-# properties: equivalence to manual composition, idempotence, scan-after-resolve
+# properties: equivalence to manual composition, idempotence
 
 _uris = st.sampled_from(["/rest/r1", "/rest/r2", "/rest/r3"])
 _scalars = st.none() | st.booleans() | st.integers(-100, 100) | st.text(
@@ -201,7 +177,6 @@ def test_resolve_equals_manual_composition(payload):
     resolved = resolver.resolve(payload)
     assert resolved == _manual_substitute(payload, store.get_resource)
     # a second pass finds nothing left to do
-    assert scan(resolved) == []
     assert resolver.resolve(resolved) == resolved
 
 
@@ -237,7 +212,7 @@ def _find_spans_by_character(text):
             raise MalformedTemplate(
                 f"unbalanced braces: template opened at index {start} never closes"
             )
-        spans.append(_Span(start, i, text[start + 2 : i - 2]))
+        spans.append((start, i))
     return spans
 
 

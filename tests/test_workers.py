@@ -85,6 +85,7 @@ _CORPUS = {
     "uri-wins-over-data-param": _call("/lambda/pricer/price", method="GET",
                                       query={"uri": "/rest/book", "to_do": "map", "data": "nope"}),
     "pct25-in-uri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/a%25b"}),
+    "not-utf8-in-uri": _call(_MAP_ADD, {"to_do": "map", "uri": "/rest/a%FF"}),
     "pct25-in-path": _call("/lambda/basic%5Farithmetic/add", {"to_do": "map", "data": [[1, 2]]}),
     "pct25-literal-in-path": _call("/lambda/basic_arithmetic/a%25dd", {"to_do": "map"}),
     "head": _call(_MAP_ADD, method="HEAD", query={"to_do": "map", "uri": "/rest/xs"}),
