@@ -1,13 +1,15 @@
 """Operator entry point: serve the gateway, run queries, seed resources.
 
 Exit codes: 0 success, 1 client or input error, 2 server or transport
-error.
+error, or a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import os
 import re
 import signal
 import socket
@@ -18,8 +20,6 @@ import time
 from contextlib import suppress
 from time import gmtime
 from urllib.parse import quote, urlsplit
-
-import click
 
 from .config import ENV_CONFIG, build_app, load_config_file, make_config
 from .errors import FastError
@@ -210,43 +210,15 @@ def _interrupt(signum, frame):
 
 
 def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-@click.group()
-def main():
-    """A resource store and a pure-function engine behind one HTTP API."""
-
-
-@main.command()
-@click.option("--bind", default=None, metavar="HOST:PORT", help="Listen address.")
-@click.option(
-    "--packages", default=None, metavar="A,B", help="Builtin packages to enable."
-)
-@click.option("--store", default=None, metavar="FILE", help="Persist resources here.")
-@click.option("--depth", default=None, type=int, help="Template nesting limit.")
-@click.option("--max-bytes", default=None, type=int, help="Payload size limit.")
-@click.option(
-    "--check-purity", is_flag=True, default=False, help="Evaluate twice and compare."
-)
-@click.option(
-    "--config",
-    "config_path",
-    default=None,
-    envvar=ENV_CONFIG,
-    metavar="FILE",
-    help=f"JSON config file (or ${ENV_CONFIG}).",
-)
-def serve(bind, packages, store, depth, max_bytes, check_purity, config_path):
+def serve(config_path, **flags):
     """Run the gateway until interrupted."""
-    if packages is not None:
-        packages = [p.strip() for p in packages.split(",") if p.strip()]
-    # keyed as the config file is; a flag left out leaves the file's value
-    flags = {"bind": bind, "packages": packages, "store": store, "depth": depth,
-             "max_bytes": max_bytes, "check_purity": check_purity or None}
     try:
         values = load_config_file(config_path) if config_path else {}
+        # the flags are keyed as the config file is; a flag left out (None) leaves its value
         values.update((key, value) for key, value in flags.items() if value is not None)
         config = make_config(values)
         bundle = build_app(config)
@@ -260,26 +232,26 @@ def serve(bind, packages, store, depth, max_bytes, check_purity, config_path):
     except OSError as exc:
         workers.close()
         _fail(f"cannot bind {config.host}:{config.port}: {exc}", 1)
-    click.echo(f"serving on http://{config.host}:{config.port}", err=True)
-    click.echo(f"packages: {', '.join(bundle.machine.packages())}", err=True)
-    click.echo(
+    print(f"serving on http://{config.host}:{config.port}", file=sys.stderr)
+    print(f"packages: {', '.join(bundle.machine.packages())}", file=sys.stderr)
+    print(
         f"worker processes for map, reduce, filter and large resource writes: {len(workers)}",
-        err=True,
+        file=sys.stderr,
     )
     if config.store_path:
-        click.echo(f"store file: {config.store_path}", err=True)
+        print(f"store file: {config.store_path}", file=sys.stderr)
     # SIGTERM (docker stop, systemd) takes the same path as Ctrl-C, so the store is flushed
     signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        click.echo("shutting down", err=True)
+        print("shutting down", file=sys.stderr)
     finally:
         server.server_close()
         workers.close()
         if config.store_path:
             bundle.store.save(config.store_path)
-            click.echo(f"store flushed to {config.store_path}", err=True)
+            print(f"store flushed to {config.store_path}", file=sys.stderr)
 
 
 def _post(server: str, path: str, value):
@@ -315,18 +287,11 @@ def _post(server: str, path: str, value):
     return payload
 
 
-@main.command()
-@click.argument("text")
-@click.option("--server", default=DEFAULT_SERVER, metavar="URL", show_default=True)
 def query(text, server):
     """Send a query-language string and print the JSON result."""
-    click.echo(json.dumps(_post(server, "/query", {"q": text}), indent=2))
+    print(json.dumps(_post(server, "/query", {"q": text}), indent=2))
 
 
-@main.command()
-@click.argument("file", type=click.Path())
-@click.option("--server", default=DEFAULT_SERVER, metavar="URL", show_default=True)
-@click.option("--uri", required=True, metavar="/rest/...", help="Target resource URI.")
 def seed(file, server, uri):
     """POST a JSON file's value to a resource URI."""
     try:
@@ -343,7 +308,47 @@ def seed(file, server, uri):
     payload = _post(server, quote(uri, safe="/%"), value)  # the server decodes it once
     if not (isinstance(payload, dict) and payload.get("status") == "success"):
         _fail(f"unexpected reply: {canonical_json(payload)}", 2)
-    click.echo(f"seeded {uri}")
+    print(f"seeded {uri}")
+
+
+# Ctrl-C outside `serve` exits 1, or is raised on when standalone_mode is false.
+# perfbench/traced_serve.py passes prog_name and standalone_mode; they go when
+# ROADMAP item 1 stops that.
+def main(args=None, prog_name="fastgate", standalone_mode=True):
+    """A resource store and a pure-function engine behind one HTTP API."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        """The add_argument of a new subcommand that calls `run`, named after it."""
+        doc = run.__doc__
+        sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = command(serve)
+    option("--bind", metavar="HOST:PORT", help="Listen address.")
+    option("--packages", metavar="A,B", help="Builtin packages to enable.",
+           type=lambda names: [name.strip() for name in names.split(",") if name.strip()])
+    option("--store", metavar="FILE", help="Persist resources here.")
+    option("--depth", type=int, metavar="INTEGER", help="Template nesting limit.")
+    option("--max-bytes", type=int, metavar="INTEGER", help="Payload size limit.")
+    option("--check-purity", action="store_true", default=None, help="Evaluate twice and compare.")
+    # an empty or unset variable, like an explicit --config "", names no file
+    option("--config", dest="config_path", default=os.environ.get(ENV_CONFIG), metavar="FILE",
+           help=f"JSON config file (or ${ENV_CONFIG}).")
+    for run, operand in ((query, "TEXT"), (seed, "FILE")):
+        option = command(run)
+        option(operand.lower(), metavar=operand)
+        option("--server", default=DEFAULT_SERVER, metavar="URL", help="[default: %(default)s]")
+    option("--uri", required=True, metavar="/rest/...", help="Target resource URI.")
+    options = vars(parser.parse_args(args))
+    try:
+        options.pop("run")(**options)
+    except KeyboardInterrupt:
+        if standalone_mode:
+            sys.exit("\nAborted!")  # printed to stderr, after the terminal's ^C
+        raise
 
 
 if __name__ == "__main__":

@@ -302,7 +302,7 @@ class LambdaMachine:
         """Dispatch one of apply/map/reduce/filter over already-fetched data."""
         if combinator not in COMBINATORS:
             raise InvalidValue(
-                f"to_do must be one of {', '.join(COMBINATORS)}, got {combinator!r}"
+                f"to_do must be one of {', '.join(COMBINATORS)}, got {canonical_json(combinator)}"
             )
         if combinator == "apply":
             return self.bind_and_call(target, data)
@@ -358,7 +358,10 @@ class LambdaMachine:
                     result = call(target, element)
                     functions = functions or isinstance(result, FunctionValue)
                 if verdicts and result is not True and result is not False:
-                    raise DomainError(f"filter predicate must return a boolean, got {result!r}")
+                    # a function value has no JSON spelling: its label names it
+                    got = (result.label if isinstance(result, FunctionValue)
+                           else canonical_json(result))
+                    raise DomainError(f"filter predicate must return a boolean, got {got}")
                 results.append(result)
         except Exception as exc:
             # the failing element is the one after the last result

@@ -33,7 +33,7 @@ from typing import Collection, Optional, Union
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
 from .rest_machine import decode_uri, normalize_uri
-from .values import DECODER, MAX_DEPTH, Value, validate_value
+from .values import DECODER, MAX_DEPTH, Value, canonical_json, validate_value
 
 _CONSTANTS = {"true": True, "false": False, "null": None}
 KEYWORDS = {"get", "post", "to", "for", "and", "from", "on", *COMBINATORS, *_CONSTANTS}
@@ -163,7 +163,7 @@ class _Parser:
             raise self.error(f"expected {what}")
         uri = match.group()
         if not decode_uri(uri).startswith("/rest/"):
-            raise self.error(f"{what} must start with /rest/, got {uri!r}")
+            raise self.error(f"{what} must start with /rest/, got {canonical_json(uri)}")
         self.pos = match.end()
         return uri
 
@@ -205,7 +205,7 @@ class _Parser:
         while True:
             key = self.take_name("parameter name")
             if key.lower() in KEYWORDS:
-                raise self.error(f"{key!r} is a reserved word, not a parameter name")
+                raise self.error(f"{canonical_json(key)} is a reserved word, not a parameter name")
             self.expect_punct("=")
             bindings[key] = self.parse_binding_literal()
             if not self.try_keyword("and"):
@@ -233,7 +233,7 @@ class _Parser:
         if self.try_keyword("from"):
             module = self.take_name("module name")
             if module.lower() in KEYWORDS:
-                raise self.error(f"{module!r} is a reserved word, not a module name")
+                raise self.error(f"{canonical_json(module)} is a reserved word, not a module name")
         self.expect_keyword("on")
         operand = self.parse_operand()
         if comb in ("reduce", "filter") and len(fns) != 1:

@@ -92,7 +92,7 @@ def _parse_ref(body: str) -> tuple[str, str, str]:
     if path.startswith("/lambda/"):
         return "lambda", path, query
     raise MalformedTemplate(
-        f"template body must start with /rest/ or /lambda/, got {raw!r}"
+        f"template body must start with /rest/ or /lambda/, got {canonical_json(raw)}"
     )
 
 
@@ -172,7 +172,7 @@ class TemplateResolver:
         handle = self.machine.resolve_path(path)
         if handle is None:
             raise MalformedTemplate(
-                f"lambda template path needs one or two segments, got {path!r}"
+                f"lambda template path needs one or two segments, got {canonical_json(path)}"
             )
         # names never hold whitespace, and hand-written refs often pad around "="
         args = {

@@ -657,7 +657,7 @@ def _contract_rows(app):
             "bad to_do",
             _post("/lambda/basic_arithmetic/add", {"to_do": "bogus", "data": [1, 2]}),
             400,
-            (exact, "to_do must be one of apply, map, reduce, filter, got 'bogus'"),
+            (exact, 'to_do must be one of apply, map, reduce, filter, got "bogus"'),
         ),
         (
             "fast segment plus fns",

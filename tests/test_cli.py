@@ -9,10 +9,8 @@ import threading
 import time
 
 import pytest
-from click.testing import CliRunner
-
 import fastgate
-from fastgate import build_app
+from fastgate import build_app, cli
 from fastgate.cli import GatewayServer, main
 from fastgate.config import Config, load_config_file, make_config, parse_bind
 from fastgate.errors import InvalidValue
@@ -98,43 +96,125 @@ def test_build_app_with_missing_store_file_starts_empty(tmp_path):
 # --- serve: configuration failures exit 1 before binding
 
 
-def test_serve_rejects_bad_bind():
-    result = CliRunner().invoke(main, ["serve", "--bind", "nonsense"])
-    assert result.exit_code == 1
-    assert "error: bind must look like host:port" in result.stderr
+def test_serve_rejects_bad_bind(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["serve", "--bind", "nonsense"])
+    assert exit.value.code == 1
+    assert "error: bind must look like host:port" in capsys.readouterr().err
 
 
-def test_serve_rejects_unknown_package():
-    result = CliRunner().invoke(main, ["serve", "--packages", "pricer,mystery"])
-    assert result.exit_code == 1
-    assert "error: unknown package(s): mystery" in result.stderr
+def test_serve_rejects_unknown_package(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["serve", "--packages", "pricer,mystery"])
+    assert exit.value.code == 1
+    assert "error: unknown package(s): mystery" in capsys.readouterr().err
 
 
-def test_serve_rejects_missing_config_file():
-    result = CliRunner().invoke(main, ["serve", "--config", "/no/such/file.json"])
-    assert result.exit_code == 1
-    assert "error:" in result.stderr
+def test_serve_rejects_missing_config_file(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["serve", "--config", "/no/such/file.json"])
+    assert exit.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
-def test_serve_reads_config_from_env(tmp_path):
+def test_serve_reads_config_from_env(tmp_path, monkeypatch, capsys):
     path = tmp_path / "conf.json"
     path.write_text('{"bind": "127.0.0.1:99999"}')
-    result = CliRunner().invoke(main, ["serve"], env={"FAST_CONFIG": str(path)})
-    assert result.exit_code == 1
-    assert "bind port out of range: 99999" in result.stderr
+    monkeypatch.setenv("FAST_CONFIG", str(path))
+    with pytest.raises(SystemExit) as exit:
+        main(["serve"])
+    assert exit.value.code == 1
+    assert "bind port out of range: 99999" in capsys.readouterr().err
 
 
-def test_serve_flag_overrides_env_config(tmp_path):
+def test_serve_flag_overrides_env_config(tmp_path, monkeypatch, capsys):
     good = tmp_path / "good-but-broken-port.json"
     good.write_text('{"bind": "127.0.0.1:88888"}')
-    result = CliRunner().invoke(
-        main,
-        ["serve", "--config", str(good)],
-        env={"FAST_CONFIG": "/no/such/file.json"},
-    )
+    monkeypatch.setenv("FAST_CONFIG", "/no/such/file.json")
+    with pytest.raises(SystemExit) as exit:
+        main(["serve", "--config", str(good)])
     # the flag's file was read (its port error), not the env's missing file
-    assert result.exit_code == 1
-    assert "bind port out of range: 88888" in result.stderr
+    assert exit.value.code == 1
+    assert "bind port out of range: 88888" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, env", [("", "/no/such/file.json"), (None, ""), ("", "")],
+    ids=["empty-flag", "empty-env", "both-empty"],
+)
+def test_an_empty_config_names_no_file(config, env, monkeypatch, capsys):
+    monkeypatch.setenv("FAST_CONFIG", env)
+    flag = [] if config is None else ["--config", config]
+    with pytest.raises(SystemExit) as exit:
+        main(["serve", "--bind", "127.0.0.1:99999", *flag])
+    # the port error comes after the file would have been read
+    assert exit.value.code == 1
+    assert capsys.readouterr().err == "error: bind port out of range: 99999\n"
+
+
+# --- the command line itself: the spellings that scripts and docs rely on
+
+# each command's option strings with their metavars, and the client commands'
+# shown default, as `--help` listed them before the parser moved to argparse
+_HELP_LISTS = {
+    "serve": ["--bind HOST:PORT", "--packages A,B", "--store FILE", "--depth INTEGER",
+              "--max-bytes INTEGER", "--check-purity", "--config FILE", "--help"],
+    "query": ["TEXT", "--server URL", "[default: http://127.0.0.1:8080]", "--help"],
+    "seed": ["FILE", "--server URL", "[default: http://127.0.0.1:8080]", "--uri /rest/...",
+             "--help"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_LISTS))
+def test_each_command_help_lists_its_options_and_metavars(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # the help text wraps at the terminal's width
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--help"])
+    assert exit.value.code == 0
+    out = capsys.readouterr().out
+    assert [item for item in _HELP_LISTS[command] if item not in out] == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["serve", "--depth", "abc"], ["serve", "--max-bytes", "1e6"], ["serve", "--bogus"],
+     ["serve", "--max", "2048"], ["query"], ["seed", "value.json"], ["nonsense"]],
+)
+def test_a_usage_error_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(args)
+    assert exit.value.code == 2
+    assert "usage:" in capsys.readouterr().err.lower()
+
+
+def test_ctrl_c_in_a_client_command_prints_aborted_and_exits_1():
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # accepts, never answers
+        silent.settimeout(20)
+        url = "http://127.0.0.1:%d" % silent.getsockname()[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fastgate.cli", "query", "Get x", "--server", url],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        try:
+            connection, _ = silent.accept()  # the client is now in its request
+            with connection:
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert (proc.returncode, out, err) == (1, b"", b"\nAborted!\n")  # and no traceback
+
+
+def test_ctrl_c_is_raised_on_outside_standalone_mode(monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_post", interrupted)
+    # the benchmark's traced server runs main with these keywords
+    with pytest.raises(KeyboardInterrupt):
+        main(args=["query", "Get x"], prog_name="fastgate", standalone_mode=False)
 
 
 # --- live server helpers
@@ -161,10 +241,9 @@ def _free_port() -> int:
 # --- query command
 
 
-def test_query_prints_json_result(live_server):
+def test_query_prints_json_result(live_server, capsys):
     url, _ = live_server
-    result = CliRunner().invoke(
-        main,
+    main(
         [
             "query",
             "Get Apply (Apply add on 2) from higher_order_arithmetic on 3",
@@ -172,58 +251,52 @@ def test_query_prints_json_result(live_server):
             url,
         ],
     )
-    assert result.exit_code == 0
-    assert json.loads(result.output) == 5
+    assert json.loads(capsys.readouterr().out) == 5
 
 
-def test_query_pretty_prints_structures(live_server):
+def test_query_pretty_prints_structures(live_server, capsys):
     url, app = live_server
     app.store.post_resource("/rest/cli_trades", [[100, 1, 100, 0.2]])
-    result = CliRunner().invoke(
-        main, ["query", "Map [price] from pricer on cli_trades", "--server", url]
-    )
-    assert result.exit_code == 0
-    assert json.loads(result.output) == pytest.approx([7.965567455405804])
-    assert "\n" in result.output.strip()  # indent=2 formatting
+    main(["query", "Map [price] from pricer on cli_trades", "--server", url])
+    output = capsys.readouterr().out
+    assert json.loads(output) == pytest.approx([7.965567455405804])
+    assert "\n" in output.strip()  # indent=2 formatting
 
 
-def test_query_parse_error_exits_1(live_server):
+def test_query_parse_error_exits_1(live_server, capsys):
     url, _ = live_server
-    result = CliRunner().invoke(main, ["query", "Map price on", "--server", url])
-    assert result.exit_code == 1
-    assert "error: unexpected end of input at position 12" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        main(["query", "Map price on", "--server", url])
+    assert exit.value.code == 1
+    assert "error: unexpected end of input at position 12" in capsys.readouterr().err
 
 
-def test_query_domain_error_exits_2(live_server):
+def test_query_domain_error_exits_2(live_server, capsys):
     url, _ = live_server
-    result = CliRunner().invoke(
-        main,
-        ["query", "Apply divide from basic_arithmetic on [1, 0]", "--server", url],
-    )
-    assert result.exit_code == 2
-    assert "error: division by zero" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        main(["query", "Apply divide from basic_arithmetic on [1, 0]", "--server", url])
+    assert exit.value.code == 2
+    assert "error: division by zero" in capsys.readouterr().err
 
 
-def test_query_unreachable_server_exits_2():
+def test_query_unreachable_server_exits_2(capsys):
     url = f"http://127.0.0.1:{_free_port()}"
-    result = CliRunner().invoke(main, ["query", "Get x", "--server", url])
-    assert result.exit_code == 2
-    assert "cannot reach" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        main(["query", "Get x", "--server", url])
+    assert exit.value.code == 2
+    assert "cannot reach" in capsys.readouterr().err
 
 
 # --- seed command
 
 
-def test_seed_round_trip(live_server, tmp_path):
+def test_seed_round_trip(live_server, tmp_path, capsys):
     url, _ = live_server
     payload = {"data": [[100, 1, 100, 0.2], [90, 0.5, 105, 0.35]]}
     path = tmp_path / "trades.json"
     path.write_text(json.dumps(payload))
-    result = CliRunner().invoke(
-        main, ["seed", str(path), "--uri", "books/trades", "--server", url]
-    )
-    assert result.exit_code == 0
-    assert result.output.strip() == "seeded /rest/books/trades"
+    main(["seed", str(path), "--uri", "books/trades", "--server", url])
+    assert capsys.readouterr().out == "seeded /rest/books/trades\n"
     # envelope unwrapped on store
     assert _request(url, "GET", "/rest/books/trades") == (200, payload["data"])
 
@@ -232,49 +305,44 @@ def test_seed_accepts_full_rest_uris(live_server, tmp_path):
     url, _ = live_server
     path = tmp_path / "value.json"
     path.write_text("42")
-    result = CliRunner().invoke(
-        main, ["seed", str(path), "--uri", "/rest/answers/1", "--server", url]
-    )
-    assert result.exit_code == 0
+    main(["seed", str(path), "--uri", "/rest/answers/1", "--server", url])
     assert _request(url, "GET", "/rest/answers/1") == (200, 42)
 
 
-def test_seed_malformed_file_exits_1(live_server, tmp_path):
+def test_seed_malformed_file_exits_1(live_server, tmp_path, capsys):
     url, _ = live_server
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    result = CliRunner().invoke(
-        main, ["seed", str(path), "--uri", "x", "--server", url]
-    )
-    assert result.exit_code == 1
-    assert "malformed JSON" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        main(["seed", str(path), "--uri", "x", "--server", url])
+    assert exit.value.code == 1
+    assert "malformed JSON" in capsys.readouterr().err
 
 
 def test_seed_missing_file_exits_1(live_server):
     url, _ = live_server
-    result = CliRunner().invoke(
-        main, ["seed", "/no/such/file.json", "--uri", "x", "--server", url]
-    )
-    assert result.exit_code == 1
+    with pytest.raises(SystemExit) as exit:
+        main(["seed", "/no/such/file.json", "--uri", "x", "--server", url])
+    assert exit.value.code == 1
 
 
-def test_seed_rejected_uri_exits_1(live_server, tmp_path):
+def test_seed_rejected_uri_exits_1(live_server, tmp_path, capsys):
     url, _ = live_server
     path = tmp_path / "ok.json"
     path.write_text("1")
-    result = CliRunner().invoke(
-        main, ["seed", str(path), "--uri", "/rest/bad{brace}", "--server", url]
-    )
-    assert result.exit_code == 1
-    assert "error:" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        main(["seed", str(path), "--uri", "/rest/bad{brace}", "--server", url])
+    assert exit.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_seed_unreachable_server_exits_2(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text("1")
     url = f"http://127.0.0.1:{_free_port()}"
-    result = CliRunner().invoke(main, ["seed", str(path), "--uri", "x", "--server", url])
-    assert result.exit_code == 2
+    with pytest.raises(SystemExit) as exit:
+        main(["seed", str(path), "--uri", "x", "--server", url])
+    assert exit.value.code == 2
 
 
 # --- the HTTP/1.1 transport, over real sockets with short timeouts
@@ -702,12 +770,18 @@ _UNUSED_BY_SERVE = ["requests", "http.client", "ssl", "email", "http.server",
 
 @pytest.mark.parametrize("module", ["fastgate.cli", "fastgate"])
 def test_importing_fastgate_loads_no_client_tls_email_or_pool(module):
-    check = (f"import sys, {module}; "
-             f"print(' '.join(sorted(set({_UNUSED_BY_SERVE!r}) & set(sys.modules))))")
+    # the second line names what the import loaded from outside the standard
+    # library and fastgate; a module loaded before it (a site hook's) is not counted
+    check = (f"import sys; before = set(sys.modules); import {module}; "
+             f"print(' '.join(sorted(set({_UNUSED_BY_SERVE!r}) & set(sys.modules)))); "
+             "print(' '.join(sorted(name for name in set(sys.modules) - before "
+             "if name.partition('.')[0] not in {*sys.stdlib_module_names, 'fastgate'})))")
     result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                             env=_child_env(), timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    unused, third_party = result.stdout.split("\n")[:2]
+    assert unused == ""
+    assert third_party == ""
 
 
 def _wait_until_serving(base: str) -> None:

@@ -234,7 +234,7 @@ def test_lambda_error_statuses(client):
     )
     assert status == 400
     assert body == {
-        "message": "to_do must be one of apply, map, reduce, filter, got 'bogus'"
+        "message": 'to_do must be one of apply, map, reduce, filter, got "bogus"'
     }
     status, body = client.post(
         "/lambda/basic_arithmetic/add", json={"to_do": "map", "data": 3}
@@ -399,7 +399,7 @@ def test_template_malformed_maps_to_400(client):
         ("{{{{/rest/n}}}}", "template body did not resolve to text"),
         (
             "{{/lambda/a/b/c}}",
-            "lambda template path needs one or two segments, got '/lambda/a/b/c'",
+            'lambda template path needs one or two segments, got "/lambda/a/b/c"',
         ),
     ],
 )
@@ -739,7 +739,10 @@ def test_a_to_do_that_names_no_combinator_is_400(client, to_do):
     for path, extra in (("/lambda/basic_arithmetic/add", {}), ("/fast/basic_arithmetic", {"fns": ["add"]})):
         status, body = client.post(path, json={"to_do": to_do, "a": 1, "b": 2, **extra})
         assert status == 400
-        assert body["message"].startswith("to_do must be one of apply, map, reduce, filter, got ")
+        # the value is spelled as the client sent it, in JSON: `true`, not `True`
+        assert body["message"] == (
+            f"to_do must be one of apply, map, reduce, filter, got {json.dumps(to_do)}"
+        )
 
 
 def test_a_null_or_empty_to_do_is_apply_and_a_body_field_wins(client):

@@ -31,7 +31,7 @@ from fastgate.lambda_machine import (
     LambdaMachine,
     _contains_function_value,
 )
-from fastgate.values import MAX_DEPTH, validate_value
+from fastgate.values import MAX_DEPTH, canonical_json, validate_value
 
 from test_values import _Level, _Name, _Real
 
@@ -515,9 +515,9 @@ def _reference_filter(target, data):
         try:
             verdict = _reference_call(target, element)
             if not isinstance(verdict, bool):
-                raise DomainError(
-                    f"filter predicate must return a boolean, got {verdict!r}"
-                )
+                spelled = (verdict.label if isinstance(verdict, FunctionValue)
+                           else canonical_json(verdict))
+                raise DomainError(f"filter predicate must return a boolean, got {spelled}")
         except Exception as exc:
             raise _reference_element_error(exc, "filter", index) from None
         if verdict:
@@ -694,6 +694,15 @@ _COMBINATOR_CASES = [
      f"filter element 0: {_NON_FINITE}"),
     ("extra.nested_fn", "filter", [[1]], UnserializableResult,
      f"filter element 0: {_FN_IN_RESULT}"),
+    # a verdict is spelled as JSON, and a function value by its label
+    ("checks.bad_bool", "filter", [["no"]], DomainError,
+     'filter element 0: filter predicate must return a boolean, got "no"'),
+    ("checks.bad_bool", "filter", [[None]], DomainError,
+     "filter element 0: filter predicate must return a boolean, got null"),
+    ("checks.bad_bool", "filter", [[{"b": [True], "a": 1}]], DomainError,
+     'filter element 0: filter predicate must return a boolean, got {"a":1,"b":[true]}'),
+    ("higher_order_arithmetic.add", "filter", [[2]], DomainError,
+     "filter element 0: filter predicate must return a boolean, got add(2)"),
 ]
 
 

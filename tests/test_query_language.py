@@ -100,6 +100,13 @@ def test_post_to_round_trip():
 _PARSE_ERROR_MESSAGES = {
     "Map [price] from pricer book": "expected 'on' at position 24",
     "Map price on )": "expected an operand at position 13",
+    # a name or URI the parser quotes is spelled as JSON
+    "f for on=1": '"on" is a reserved word, not a parameter name at position 8',
+    "Map f from Reduce on xs": '"Reduce" is a reserved word, not a module name at position 17',
+    "Apply f on /lambda/pricer/price":
+        'operand URI must start with /rest/, got "/lambda/pricer/price" at position 11',
+    "Post Map f on xs to /lambda/x":
+        'target URI must start with /rest/, got "/lambda/x" at position 20',
 }
 
 
@@ -130,6 +137,8 @@ _PARSE_ERROR_MESSAGES = {
         "Apply f on [NaN]",  # non-finite JSON constants are rejected
         "Map [price] from pricer book",  # "on" required after a bracketed list
         "Map price on )",  # no operand where one belongs
+        "Map f from Reduce on xs",  # reserved word as module
+        "Post Map f on xs to /lambda/x",  # target URIs name resources
     ],
 )
 def test_parse_errors(text):

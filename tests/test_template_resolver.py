@@ -39,6 +39,19 @@ def test_scan_rejects_malformed(env, bad):
         resolver.resolve({"k": bad})
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [("{{/nowhere/x}}", 'template body must start with /rest/ or /lambda/, got "/nowhere/x"'),
+     ("{{/lambd\u00e1/x}}",
+      r'template body must start with /rest/ or /lambda/, got "/lambd\u00e1/x"')],
+)
+def test_a_malformed_template_is_quoted_as_json(env, bad, message):
+    _, resolver = env
+    with pytest.raises(MalformedTemplate) as caught:
+        resolver.resolve(bad)
+    assert caught.value.message == message
+
+
 def test_whole_string_substitutes_typed_value(env):
     store, resolver = env
     store.post_resource("/rest/p", [[100, 1, 20, 0.2]])

@@ -27,7 +27,6 @@ from typing import Optional
 from urllib.parse import parse_qsl
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fastgate import build_app, cli, http_gateway
@@ -906,32 +905,32 @@ def _check_linearizable(served):
 # --- the client commands' one POST helper
 
 
-def test_seed_percent_encodes_a_uri_outside_ascii(served, tmp_path):
+def test_seed_percent_encodes_a_uri_outside_ascii(served, tmp_path, capsys):
     path = tmp_path / "value.json"
     path.write_text("[1]")
     url = "http://%s:%d/" % served.address
-    result = CliRunner().invoke(cli.main, ["seed", str(path), "--uri", "café/1", "--server", url])
-    assert result.exit_code == 0, result.stderr
-    assert result.output.strip() == "seeded /rest/café/1"
+    cli.main(["seed", str(path), "--uri", "café/1", "--server", url])
+    assert capsys.readouterr().out == "seeded /rest/café/1\n"
     assert served.app.store.get_resource("/rest/café/1") == [1]
 
 
-def test_seed_sends_question_marks_and_hashes_as_part_of_the_uri(served, tmp_path):
+def test_seed_sends_question_marks_and_hashes_as_part_of_the_uri(served, tmp_path, capsys):
     path = tmp_path / "value.json"
     path.write_text("2")
     url = "http://%s:%d" % served.address
-    seed = CliRunner().invoke
-    result = seed(cli.main, ["seed", str(path), "--uri", "a#b%20c", "--server", url])
-    assert result.exit_code == 0, result.stderr
+    cli.main(["seed", str(path), "--uri", "a#b%20c", "--server", url])
     assert served.app.store.canonical_dump() == '{"/rest/a#b c":2}'
     # the server refuses the `?`: it is not read as the start of a query string
-    result = seed(cli.main, ["seed", str(path), "--uri", "a?b", "--server", url])
-    assert result.exit_code == 1
-    assert "error: resource URI may not contain a query string: /rest/a?b" in result.stderr
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["seed", str(path), "--uri", "a?b", "--server", url])
+    assert exit.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: resource URI may not contain a query string: /rest/a?b" in err
 
 
 @pytest.mark.parametrize("server", ["127.0.0.1:1", "ftp://127.0.0.1:1", "http://127.0.0.1:x"])
-def test_a_server_url_that_is_not_http_exits_2(server):
-    result = CliRunner().invoke(cli.main, ["query", "Get x", "--server", server])
-    assert result.exit_code == 2
-    assert f"error: cannot reach {server}" in result.stderr
+def test_a_server_url_that_is_not_http_exits_2(server, capsys):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["query", "Get x", "--server", server])
+    assert exit.value.code == 2
+    assert f"error: cannot reach {server}" in capsys.readouterr().err
