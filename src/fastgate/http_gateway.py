@@ -17,12 +17,16 @@ A 405 also carries the route's methods for the reply's `Allow` field
 The core handler is transport-free.  It percent-decodes the request path
 once, as UTF-8 (`rest_machine.decode_uri`, which answers a malformed escape
 with a 400), so the allow hook, the router and the store see one form.
+A request carries its query string as the transport read it; the handler
+reads it, and a form body, with `rest_machine.decode_params`, which decodes
+each name and value as a path is, so a bad escape there is a 400 too.
 It also encodes each reply's canonical JSON text, once, inside its guard:
 a reply that cannot be encoded gets the fixed 500.  A resource GET sends
 the stored text as is, neither parsed nor re-encoded, and a wire POST body
 is validated once, when it is parsed.
-`wsgi_app` is its one transport adapter: it takes PATH_INFO still
-percent-encoded and a body that the server has already framed.
+`wsgi_app` is its one transport adapter: it takes PATH_INFO and
+QUERY_STRING still percent-encoded and a body that the server has already
+framed.
 `cli.GatewayServer` serves a `Gateway` over HTTP/1.1 with persistent
 connections: it reads each request head and body once, strictly
 (RFC 9112), refuses a body over `max_bytes` unread, and calls `wsgi_app`.
@@ -44,10 +48,9 @@ from __future__ import annotations
 
 import json
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from http import HTTPStatus
 from typing import Callable, Optional
-from urllib.parse import parse_qsl
 
 from .errors import (
     BadRequest,
@@ -59,7 +62,7 @@ from .errors import (
 )
 from .lambda_machine import COMBINATORS, FunctionHandle, FunctionRef, FunctionValue
 from .query_language import PostTo, holds_combinator, parse
-from .rest_machine import DEFAULT_MAX_BYTES, decode_uri, normalize_uri
+from .rest_machine import DEFAULT_MAX_BYTES, decode_params, decode_uri, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
 RESERVED_PARAMS = frozenset({"data", "uri", "to_do", "to_uri", "fns", "q"})
@@ -83,9 +86,12 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 @dataclass
 class WireRequest:
+    """A request as the transport read it: the path and the query string
+    still percent-encoded, the body as framed."""
+
     method: str
     path: str
-    query: dict = field(default_factory=dict)  # str -> str
+    query: str = ""
     body: Optional[bytes] = None
     content_type: str = ""
 
@@ -153,7 +159,7 @@ class Gateway:
     # --- entry points
 
     def handle(self, req: WireRequest) -> WireResponse:
-        wire = req  # what a worker gets: the path still percent-encoded, HEAD still HEAD
+        wire = req  # what a worker gets: path and query still percent-encoded, HEAD still HEAD
         try:
             if req.body is not None and len(req.body) > self.max_bytes:
                 raise PayloadTooLarge(f"request body exceeds {self.max_bytes} bytes")
@@ -183,9 +189,7 @@ class Gateway:
         """
         method = environ.get("REQUEST_METHOD", "GET")  # case-sensitive (RFC 9110 9.1)
         path = environ.get("PATH_INFO", "/")
-        query = dict(
-            parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)
-        )
+        query = environ.get("QUERY_STRING", "")
         length = int(environ.get("CONTENT_LENGTH") or 0)
         body = environ["wsgi.input"].read(length) if length else None
         response = self.handle(
@@ -232,7 +236,7 @@ class Gateway:
 
     def handle_rest(self, req: WireRequest) -> Value | WireResponse:
         if req.method == "GET":
-            if req.query.get("children") in ("true", "1"):
+            if decode_params(req.query).get("children") in ("true", "1"):
                 return self.store.list_children(req.path)
             return WireResponse(200, self.store.get_text(req.path))
         if req.method == "DELETE":
@@ -335,9 +339,9 @@ class Gateway:
         params are the query params with a form-encoded body folded in (the
         form wins); body is the decoded JSON body, _ABSENT for none or a form.
         """
-        params = dict(req.query)
+        params = decode_params(req.query)
         if req.body and self._is_form(req):
-            params.update(parse_qsl(self._body_text(req), keep_blank_values=True))
+            params.update(decode_params(self._body_text(req)))
         return params, self._json_body(req)
 
     @staticmethod

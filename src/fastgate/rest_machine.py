@@ -11,7 +11,9 @@ never a partial one.
 `decode_uri` is the one percent-decoder of URI text, for the wire path,
 templates, queries and `uri`/`to_uri`.  It refuses malformed escapes
 rather than replacing them, so two texts name one key only when they spell
-the same bytes (`%25` for a literal "%").
+the same bytes (`%25` for a literal "%").  `decode_params` reads
+`name=value` text (a query string, a form body, a template's arguments)
+with it.
 A worker process's store keeps its own key checks and NotFound, but its
 entries are a mapping that sends each read and write of a key to the
 server's store (see `workers`), so the server's entries are the only ones.
@@ -49,6 +51,21 @@ def decode_uri(text: str) -> str:
         except UnicodeDecodeError:
             pass
     raise InvalidUri(f"URI is not percent-encoded UTF-8: {text}")
+
+
+def decode_params(text: str) -> dict[str, str]:
+    """Read `name=value` text: fields split on "&" (empty ones dropped), "+"
+    read as a space, each field split at its first "=" (none: an empty
+    value), each name and value decoded by `decode_uri`; a repeated name
+    keeps its last value.  Where the escapes spell UTF-8 it reads what
+    urllib.parse reads, keeping blank values; where they do not, urllib
+    keeps a bad escape or makes its bytes U+FFFD, and this is an InvalidUri."""
+    params = {}
+    for field in text.replace("+", " ").split("&"):
+        if field:
+            name, _, value = field.partition("=")
+            params[decode_uri(name)] = decode_uri(value)
+    return params
 
 
 def normalize_uri(path: str) -> str:

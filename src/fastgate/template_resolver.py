@@ -3,10 +3,12 @@
 A template body is a path starting with /rest/ (fetch the resource) or
 /lambda/ (apply a function to its query-string arguments), read once the
 path is percent-decoded: `{{/rest%2Fx}}` reads /rest/x, as `GET /rest%2Fx`
-does, and `{{/rest/a%FF}}` is refused, as that GET is (`decode_uri`).  A
-string leaf that is exactly one template becomes the typed result; a
-template embedded in a longer string is substituted as JSON text (strings
-verbatim).  A backslash immediately before "{{" makes the braces literal.
+does, and `{{/rest/a%FF}}` is refused, as that GET is (`decode_uri`).  The
+arguments of a /lambda/ ref are read as a wire query string is
+(`decode_params`), so `?a=%FF` is refused too.  A string leaf that is
+exactly one template becomes the typed result; a template embedded in a
+longer string is substituted as JSON text (strings verbatim).  A backslash
+immediately before "{{" makes the braces literal.
 
 Resolution runs innermost-first: templates inside a body are substituted
 before the body is parsed, and templates inside a fetched result are
@@ -22,11 +24,10 @@ puts "{{" outside a string, and only a string holding "{{" can change.
 from __future__ import annotations
 
 import json
-from urllib.parse import parse_qsl
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
 from .lambda_machine import FunctionValue
-from .rest_machine import decode_uri, normalize_uri
+from .rest_machine import decode_params, decode_uri, normalize_uri
 from .values import Value, canonical_json, parse_scalar
 
 DEFAULT_DEPTH_LIMIT = 8
@@ -177,7 +178,7 @@ class TemplateResolver:
         # names never hold whitespace, and hand-written refs often pad around "="
         args = {
             name.strip(): parse_scalar(raw.strip())
-            for name, raw in parse_qsl(query, keep_blank_values=True)
+            for name, raw in decode_params(query).items()
         }
         result = self.machine.bind_and_call(handle, args)
         if isinstance(result, FunctionValue):

@@ -3,6 +3,7 @@ the acceptance-criteria reporter that prints one PASS/FAIL line per
 criterion in the terminal summary."""
 
 import json as jsonlib
+from urllib.parse import urlencode
 
 import pytest
 
@@ -26,7 +27,7 @@ class Client:
             raw = raw.encode("utf-8")
         self.count += 1
         response = self.gateway.handle(
-            WireRequest(method, path, dict(query or {}), raw, content_type)
+            WireRequest(method, path, urlencode(query or {}), raw, content_type)
         )
         return response.status, response.body
 

@@ -9,6 +9,7 @@ import functools
 import json
 import random
 from itertools import product
+from urllib.parse import urlencode
 
 import pytest
 from hypothesis import given, settings
@@ -40,12 +41,12 @@ _GREEKS = ("price", "delta", "gamma", "vega")
 
 def _post(path, body):
     return WireRequest(
-        "POST", path, {}, json.dumps(body).encode("utf-8"), "application/json"
+        "POST", path, "", json.dumps(body).encode("utf-8"), "application/json"
     )
 
 
 def _get(path, query=None):
-    return WireRequest("GET", path, dict(query or {}), None, "")
+    return WireRequest("GET", path, urlencode(query or {}), None, "")
 
 
 def _pricer_row(rng):
@@ -211,7 +212,9 @@ def test_criterion_04_reads_never_change_the_store(criterion):
         WireRequest(
             "GET",
             "/fast/pricer/price",
-            {"data": '{"strike":100,"time":1,"spot":90,"vol":0.3}', "to_uri": "/rest/nope"},
+            urlencode(
+                {"data": '{"strike":100,"time":1,"spot":90,"vol":0.3}', "to_uri": "/rest/nope"}
+            ),
             None,
             "",
         ),
@@ -548,7 +551,7 @@ def _contract_rows(app):
         ("rest missing", _get("/rest/missing"), 404, (exact, "Resource not found")),
         (
             "rest delete missing",
-            WireRequest("DELETE", "/rest/missing", {}, None, ""),
+            WireRequest("DELETE", "/rest/missing", "", None, ""),
             404,
             (exact, "Resource not found"),
         ),
@@ -579,25 +582,25 @@ def _contract_rows(app):
         ),
         (
             "rest wrong method",
-            WireRequest("PATCH", "/rest/x", {}, b"1", "application/json"),
+            WireRequest("PATCH", "/rest/x", "", b"1", "application/json"),
             405,
             (exact, "PATCH is not allowed here; use GET or POST or PUT or DELETE"),
         ),
         (
             "healthz wrong method",
-            WireRequest("POST", "/healthz", {}, b"{}", "application/json"),
+            WireRequest("POST", "/healthz", "", b"{}", "application/json"),
             405,
             (exact, "POST is not allowed here; use GET"),
         ),
         (
             "query wrong method",
-            WireRequest("PUT", "/query", {}, b"{}", "application/json"),
+            WireRequest("PUT", "/query", "", b"{}", "application/json"),
             405,
             (exact, "PUT is not allowed here; use GET or POST"),
         ),
         (
             "lambda wrong method",
-            WireRequest("DELETE", "/lambda/basic_arithmetic/add", {}, None, ""),
+            WireRequest("DELETE", "/lambda/basic_arithmetic/add", "", None, ""),
             405,
             (exact, "DELETE is not allowed here; use GET or POST"),
         ),
@@ -615,19 +618,19 @@ def _contract_rows(app):
         ),
         (
             "rest store without body",
-            WireRequest("POST", "/rest/x", {}, None, "application/json"),
+            WireRequest("POST", "/rest/x", "", None, "application/json"),
             400,
             (exact, "a JSON body is required to store a resource"),
         ),
         (
             "malformed JSON body",
-            WireRequest("POST", "/rest/x", {}, b"{oops", "application/json"),
+            WireRequest("POST", "/rest/x", "", b"{oops", "application/json"),
             400,
             (prefix, "malformed JSON in request body"),
         ),
         (
             "non-UTF-8 body",
-            WireRequest("POST", "/rest/x", {}, b"\xff\xfe\xfd", "application/json"),
+            WireRequest("POST", "/rest/x", "", b"\xff\xfe\xfd", "application/json"),
             400,
             (exact, "request body is not valid UTF-8"),
         ),

@@ -621,6 +621,14 @@ def test_a_malformed_percent_encoding_names_no_resource_anywhere(live_server):
             assert _exchange(conn, "POST", add, {"data": "{{%s}}" % bad}) == refused
             assert _exchange(conn, "POST", "/query", {"q": f"Get {bad}"}) == refused
             assert _exchange(conn, "POST", "/query", {"q": f"Post 5 to {bad}"}) == refused
+            # query strings, form bodies and template arguments are read as paths are
+            assert _exchange(conn, "GET", f"{add}?uri={bad}") == refused
+            conn.request("POST", add, f"uri={bad}",
+                         {"Content-Type": "application/x-www-form-urlencoded"})
+            response = conn.getresponse()
+            assert (response.status, json.loads(response.read())) == refused
+            template = "{{/lambda/basic_arithmetic/add?a=%s&b=1}}" % bad
+            assert _exchange(conn, "POST", add, {"data": template}) == refused
         # an escaped "%" still names the key that holds one
         assert _exchange(conn, "GET", "/rest/a%25zz") == (200, 7)
     finally:

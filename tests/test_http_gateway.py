@@ -734,6 +734,52 @@ def test_a_query_uri_is_read_once_decoded(client, q, reply):
         assert client.get("/rest/out") == (200, [3, 7])
 
 
+# URI text after /rest/: safe characters, raw and escaped UTF-8, escapes of
+# "/", "%", "?" and "{", and escapes that are malformed or spell no UTF-8
+_uri_texts = st.lists(
+    st.sampled_from(["a", "B", "7", "-", ".", "~", "_", "/", "é", "%2F", "%41", "%25",
+                     "%C3%A9", "%3F", "%7B", "%FF", "%C3", "%zz", "%"]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uri_texts)
+@example("caf%C3%A9")
+@example("a%FF")
+def test_every_reader_of_a_uri_text_reaches_one_key_or_answers_one_400(text):
+    app = build_app()
+    client = Client(app.gateway)
+    uri = "/rest/" + text
+    add = "/lambda/basic_arithmetic/add"
+    written = client.post(uri, json=[1, 2])
+    stored = json.loads(app.store.canonical_dump())
+    read = [
+        client.post(add, json={"uri": uri}),
+        client.get(add, query={"uri": uri}),
+        client.post(add, body=urlencode({"uri": uri}),
+                    content_type="application/x-www-form-urlencoded"),
+        client.post(add, json={"data": "{{%s}}" % uri}),
+    ]
+    posted = client.post("/fast/basic_arithmetic/add", json={"data": [2, 3], "to_uri": uri})
+    after = json.loads(app.store.canonical_dump())
+    if written[0] == 200:
+        (key,) = stored
+        assert stored == {key: [1, 2]}
+        assert read == [(200, 3)] * 4
+        assert posted == (200, {"status": "success", "to_uri": uri})
+        assert after == {key: 5}
+    else:
+        assert written[0] == 400
+        assert read == [written] * 4
+        assert posted == written
+        assert after == {}
+    if written == (400, {"message": f"URI is not percent-encoded UTF-8: {uri}"}):
+        # the same text written into a query string unencoded is refused alike
+        raw = app.gateway.handle(WireRequest("GET", add, "uri=" + uri))
+        assert (raw.status, raw.body) == written
+
+
 @pytest.mark.parametrize("to_do", [5, ["map"], {}, True])
 def test_a_to_do_that_names_no_combinator_is_400(client, to_do):
     for path, extra in (("/lambda/basic_arithmetic/add", {}), ("/fast/basic_arithmetic", {"fns": ["add"]})):
@@ -977,10 +1023,10 @@ def test_purity_checked_gateway_rejects_impure_functions():
 def test_handle_never_raises(bundle):
     # even hostile inputs come back as WireResponse objects
     hostile = [
-        WireRequest("GET", "/lambda/basic_arithmetic/add", {"data": "[1,2"}, None, ""),
-        WireRequest("??", "/rest/x", {}, None, ""),
-        WireRequest("GET", "", {}, None, ""),
-        WireRequest("POST", "/query", {}, b"\x00\x01", "application/json"),
+        WireRequest("GET", "/lambda/basic_arithmetic/add", urlencode({"data": "[1,2"}), None, ""),
+        WireRequest("??", "/rest/x", "", None, ""),
+        WireRequest("GET", "", "", None, ""),
+        WireRequest("POST", "/query", "", b"\x00\x01", "application/json"),
     ]
     for req in hostile:
         response = bundle.gateway.handle(req)
@@ -1092,6 +1138,12 @@ _queries = st.dictionaries(
     _param_values,
     max_size=4,
 )
+# query and form text: encoded params, or raw text whose escapes may not be UTF-8
+_query_texts = _queries.map(urlencode) | st.lists(
+    st.sampled_from(["&", "=", "+", "%", "a", "uri", "to_do", "map", "/rest/book",
+                     "%C3%A9", "%C3", "%FF", "%zz", "%2F", "%25"]),
+    max_size=8,
+).map("".join)
 _json_texts = st.one_of(
     json_values,
     _arguments,
@@ -1107,7 +1159,7 @@ _bodies = st.one_of(
     st.tuples(_json_texts, st.integers(min_value=0)).map(
         lambda tc: (tc[0][: tc[1] % max(1, len(tc[0]))].encode(), "application/json")
     ),
-    _queries.map(lambda form: (urlencode(form).encode(), "application/x-www-form-urlencoded")),
+    _query_texts.map(lambda form: (form.encode(), "application/x-www-form-urlencoded")),
     st.binary(max_size=16).map(lambda raw: (raw, "")),
 )
 _positive = st.floats(min_value=0.05, max_value=10)
@@ -1127,7 +1179,7 @@ def _well_formed_call(function):
     return st.tuples(
         st.sampled_from(["GET", "POST"]),
         st.just("/lambda/" + function),
-        st.just({}),
+        st.just(""),
         body.map(lambda b: (json.dumps(b).encode(), "application/json")),
     )
 
@@ -1135,12 +1187,12 @@ def _well_formed_call(function):
 # besides arbitrary requests, well-formed calls and queries, so that
 # evaluation and the 200 path are reached as often as the error paths
 _requests = st.one_of(
-    st.tuples(_methods, _paths, _queries, _bodies),
+    st.tuples(_methods, _paths, _query_texts, _bodies),
     st.sampled_from(sorted(_call_arguments)).flatmap(_well_formed_call),
     st.tuples(
         st.sampled_from(["GET", "POST"]),
         st.just("/query"),
-        st.sampled_from(_QUERIES).map(lambda q: {"q": q}),
+        st.sampled_from(_QUERIES).map(lambda q: urlencode({"q": q})),
         st.just((None, "")),
     ),
 )

@@ -1,19 +1,21 @@
 import json
 import os
 import random
+import string
 import sys
 import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
+from urllib.parse import parse_qsl
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fastgate import build_app, rest_machine
 from fastgate.errors import InvalidUri, InvalidValue, NotFound, PayloadTooLarge
 from fastgate.http_gateway import WireRequest
-from fastgate.rest_machine import ResourceStore, normalize_uri
+from fastgate.rest_machine import ResourceStore, decode_params, normalize_uri
 from fastgate.values import MAX_DEPTH, canonical_json
 
 from test_values import json_values
@@ -43,6 +45,42 @@ def test_normalize_accepts_and_decodes():
 def test_normalize_rejects(bad):
     with pytest.raises(InvalidUri):
         normalize_uri(bad)
+
+
+# ASCII text rich in the characters that delimit and escape params
+_param_texts = st.lists(
+    st.sampled_from(["&", "=", "+", "%", "0", "9", "a", "F", "C", "3", "x", "/",
+                     "%C3", "%A9", "%FF", "%2B", "%26", "%3D", "%25", "%zz"]),
+    max_size=12,
+).map("".join)
+
+
+def _escapes_spell_utf8(text):
+    """Every "%" starts two hex digits and the bytes they spell are UTF-8."""
+    if any(len(piece) < 2 or not set(piece[:2]) <= set(string.hexdigits)
+           for piece in text.split("%")[1:]):
+        return False
+    try:
+        parse_qsl(text, keep_blank_values=True, errors="strict")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=500)
+@given(_param_texts)
+@example("uri=/rest/a%FF")
+@example("a=%C3%A9&b=1+2&a=3&&c&=%2B")
+def test_decode_params_reads_what_parse_qsl_reads_or_refuses(text):
+    lenient = parse_qsl(text, keep_blank_values=True)
+    if _escapes_spell_utf8(text):
+        assert decode_params(text) == dict(lenient)
+    else:
+        # the lenient reader turned bytes into U+FFFD or kept a bare "%"
+        assert any("\ufffd" in part or "%" in part for pair in lenient for part in pair)
+        with pytest.raises(InvalidUri) as exc:
+            decode_params(text)
+        assert exc.value.message.startswith("URI is not percent-encoded UTF-8: ")
 
 
 def test_get_post_delete_cycle():
@@ -349,7 +387,7 @@ def test_rest_is_linearizable_per_uri():
                     if method == "POST":
                         body = canonical_json([tid, seq, list(range(50))]).encode()
                     call = time.perf_counter_ns()
-                    reply = gateway.handle(WireRequest(method, uri, {}, body))
+                    reply = gateway.handle(WireRequest(method, uri, "", body))
                     ret = time.perf_counter_ns()
                     if method == "POST":
                         assert reply.status == 200

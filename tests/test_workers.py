@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
 
@@ -60,13 +61,14 @@ _SEED = {
     "/rest/tpl": [["{{/rest/x}}", 1], [2, "{{/lambda/basic_arithmetic/add?a=1&b=2}}"]],
     "/rest/loop": "{{/rest/loop}}",
     "/rest/book": [[100, 1, 100, 0.2], [90, 0.5, 110, 0.3]],
+    "/rest/café au lait": [[7, 8]],
 }
 
 
 def _call(path, value=None, method="POST", query=None, body=None, content_type=JSON):
     if value is not None:
         body = json.dumps(value).encode("utf-8")
-    return WireRequest(method, path, dict(query or {}), body, content_type)
+    return WireRequest(method, path, urlencode(query or {}), body, content_type)
 
 
 _MAP_ADD = "/lambda/basic_arithmetic/add"
@@ -78,6 +80,9 @@ _CORPUS = {
     "map-query-params": _call(_MAP_ADD, method="GET", query={"to_do": "map", "data": "[[1,2]]"}),
     "map-form": _call(_MAP_ADD, body=b"to_do=map&data=%5B%5B1%2C2%5D%5D",
                       content_type="application/x-www-form-urlencoded"),
+    "map-query-bad-escape": WireRequest("GET", _MAP_ADD, "to_do=map&uri=/rest/a%FF"),
+    "map-form-plus-and-utf8": _call(_MAP_ADD, body=b"to_do=map&uri=/rest/caf%C3%A9+au+lait",
+                                    content_type="application/x-www-form-urlencoded"),
     "reduce": _call(_MAP_ADD, {"to_do": "reduce", "data": [1, 2, 3]}),
     "filter": _call("/lambda/pred/positive", {"to_do": "filter", "data": [1, -2, 3.5]}),
     "filter-non-boolean": _call("/lambda/pricer/price", {"to_do": "filter", "uri": "/rest/book"}),
@@ -197,6 +202,7 @@ def test_a_worker_answers_every_request_byte_for_byte_as_in_process(pair):
 _ANSWERED_IN_PROCESS = {
     "pct25-literal-in-path", "fast-to-uri-over-get", "query-post-over-get", "depth-65-query",
     "depth-body", "denied-by-allow", "InvalidValue-to_do", "BadRequest", "ParseError",
+    "map-query-bad-escape",
     "NotFound", "MethodNotAllowed",
 }
 
