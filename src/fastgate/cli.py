@@ -23,7 +23,7 @@ from urllib.parse import quote, urlsplit
 
 from .config import ENV_CONFIG, build_app, load_config_file, make_config
 from .errors import FastError
-from .http_gateway import _REASONS, _error
+from .http_gateway import _REASONS, _error, reply_head
 from .values import canonical_json, loads_strict
 from .workers import WorkerPool, worker_count
 
@@ -132,10 +132,7 @@ class _GatewayHandler(socketserver.StreamRequestHandler):
 
     def _reject(self, code: int, message: str = "") -> bool:
         """Answer a request the reader refused with a JSON error, and close."""
-        phrase = _REASONS[code]
-        body = _error(code, message or phrase).text.encode("utf-8")
-        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
-        self._send(f"{code} {phrase}", headers, body, close=True)
+        self._send(*reply_head(_error(code, message or _REASONS[code])), close=True)
         return False
 
     def _send(self, status: str, headers: list, body: bytes, close: bool) -> None:

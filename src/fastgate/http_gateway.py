@@ -27,6 +27,9 @@ is validated once, when it is parsed.
 `wsgi_app` is its one transport adapter: it takes PATH_INFO and
 QUERY_STRING still percent-encoded and a body that the server has already
 framed.
+`reply_head` is the one place a reply's status line text, its header fields
+(Content-Type, Content-Length and a 405's Allow) and its body bytes are
+made, for the gateway's replies and the reader's refusals alike.
 `cli.GatewayServer` serves a `Gateway` over HTTP/1.1 with persistent
 connections: it reads each request head and body once, strictly
 (RFC 9112), refuses a body over `max_bytes` unread, and calls `wsgi_app`.
@@ -120,6 +123,15 @@ def internal_error() -> WireResponse:
     return _error(500, "internal server error")
 
 
+def reply_head(response: WireResponse) -> tuple:
+    """(status text, header fields, body bytes) of a reply, which is JSON."""
+    body = response.text.encode("utf-8")
+    headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+    if response.allow:
+        headers.append(("Allow", response.allow))
+    return f"{response.status} {_REASONS.get(response.status, 'Unknown')}", headers, body
+
+
 class _HandOff(Exception):
     """Raised for a request that an idle worker takes; `handle` sends it."""
 
@@ -192,15 +204,10 @@ class Gateway:
         query = environ.get("QUERY_STRING", "")
         length = int(environ.get("CONTENT_LENGTH") or 0)
         body = environ["wsgi.input"].read(length) if length else None
-        response = self.handle(
-            WireRequest(method, path, query, body, environ.get("CONTENT_TYPE", ""))
+        status, headers, payload = reply_head(
+            self.handle(WireRequest(method, path, query, body, environ.get("CONTENT_TYPE", "")))
         )
-        payload = response.text.encode("utf-8")
-        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(payload)))]
-        if response.allow:
-            headers.append(("Allow", response.allow))
-        reason = _REASONS.get(response.status, "Unknown")
-        start_response(f"{response.status} {reason}", headers)
+        start_response(status, headers)
         return [payload]
 
     # --- routing

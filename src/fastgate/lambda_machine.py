@@ -75,22 +75,14 @@ class FunctionHandle:
         self.name = name
         self.label = f"{module}.{name}"
         self.fn = fn
-        sig = inspect.signature(fn)
-        self.params = [
-            p.name
-            for p in sig.parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        self.required = [
-            p.name
-            for p in sig.parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-            and p.default is p.empty
-        ]
-        self.var_positional = any(
-            p.kind == p.VAR_POSITIONAL for p in sig.parameters.values()
-        )
-        self.var_keyword = any(p.kind == p.VAR_KEYWORD for p in sig.parameters.values())
+        parameters = inspect.signature(fn).parameters.values()
+        kinds = {p.kind for p in parameters}
+        # kinds are ordered: positional-only, positional-or-keyword, then the rest
+        positional = [p for p in parameters if p.kind <= p.POSITIONAL_OR_KEYWORD]
+        self.params = [p.name for p in positional]
+        self.required = [p.name for p in positional if p.default is p.empty]
+        self.var_positional = inspect.Parameter.VAR_POSITIONAL in kinds
+        self.var_keyword = inspect.Parameter.VAR_KEYWORD in kinds
         # the array lengths _check_binding accepts for a positional-only call
         self.min_args = max(1, len(self.required))
         self.max_args = float("inf") if self.var_positional else len(self.params)
@@ -161,7 +153,7 @@ def _check_binding(handle: FunctionHandle, args: list, kwargs: dict) -> None:
                 f"{handle.label} got unexpected parameter(s): {', '.join(unknown)}"
             )
     missing = sorted(set(handle.required) - set(kwargs))
-    if missing and not args:
+    if missing:
         raise ArityMismatch(
             f"{handle.label} missing required parameter(s): {', '.join(missing)}"
         )

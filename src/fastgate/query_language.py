@@ -177,7 +177,7 @@ class _Parser:
         if keyword in ("get", "post"):
             self.take_name(keyword)
             verb = keyword
-        expr = self.parse_expr()
+        expr = self.parse_operand(calls=True)
         target = None
         if self.try_keyword("to"):
             if verb != "post":
@@ -190,15 +190,6 @@ class _Parser:
         if target is not None:
             return PostTo(expr, target)
         return expr
-
-    def parse_expr(self) -> QueryExpr:
-        name = self.peek_name()
-        if name is not None and name.lower() not in KEYWORDS:
-            self.take_name("name")
-            if self.try_keyword("for"):
-                return self.parse_bindings(name)
-            return ResourceRef(f"/rest/{name}")
-        return self.parse_operand()
 
     def parse_bindings(self, function: str) -> SimpleCall:
         bindings = {}
@@ -254,7 +245,7 @@ class _Parser:
 
     def parse_fn_item(self):
         if self.try_punct("("):
-            inner = self.parse_expr()
+            inner = self.parse_operand(calls=True)
             self.expect_punct(")")
             return inner
         name = self.peek_name()
@@ -262,7 +253,9 @@ class _Parser:
             raise self.error("expected a function name")
         return self.take_name("function name")
 
-    def parse_operand(self) -> QueryExpr:
+    def parse_operand(self, calls: bool = False) -> QueryExpr:
+        """An operand; with `calls`, an expr, where a name followed by `for`
+        is a simpleCall rather than the resource of that name."""
         if self.at_end():
             raise self.error("unexpected end of input")
         char = self.peek_char()
@@ -279,6 +272,8 @@ class _Parser:
         name = self.peek_name()
         if name is not None and name.lower() not in KEYWORDS:
             self.take_name("name")
+            if calls and self.try_keyword("for"):
+                return self.parse_bindings(name)
             return ResourceRef(f"/rest/{name}")
         raise self.error("expected an operand")
 

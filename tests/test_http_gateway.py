@@ -760,18 +760,29 @@ def test_every_reader_of_a_uri_text_reaches_one_key_or_answers_one_400(text):
         client.post(add, body=urlencode({"uri": uri}),
                     content_type="application/x-www-form-urlencoded"),
         client.post(add, json={"data": "{{%s}}" % uri}),
+        # no drawn character ends a query's URI (whitespace or ,()[]), so the
+        # text goes into a query as it is
+        client.post("/query", json={"q": f"Apply add from basic_arithmetic on {uri}"}),
     ]
+    query_post = client.post(
+        "/query", json={"q": f"Post Apply add from basic_arithmetic on [2, 3] to {uri}"}
+    )
+    queried = json.loads(app.store.canonical_dump())
     posted = client.post("/fast/basic_arithmetic/add", json={"data": [2, 3], "to_uri": uri})
     after = json.loads(app.store.canonical_dump())
     if written[0] == 200:
         (key,) = stored
         assert stored == {key: [1, 2]}
-        assert read == [(200, 3)] * 4
+        assert read == [(200, 3)] * 5
+        assert query_post == (200, {"status": "success"})
+        assert queried == {key: 5}
         assert posted == (200, {"status": "success", "to_uri": uri})
         assert after == {key: 5}
     else:
         assert written[0] == 400
-        assert read == [written] * 4
+        assert read == [written] * 5
+        assert query_post == written
+        assert queried == {}
         assert posted == written
         assert after == {}
     if written == (400, {"message": f"URI is not percent-encoded UTF-8: {uri}"}):

@@ -10,6 +10,7 @@ ones the reader makes on purpose, listed in _CHANGED.
 """
 
 import http.client
+import json
 import os
 import random
 import re
@@ -24,19 +25,21 @@ from http.client import responses as _REASONS
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from typing import Optional
+from urllib.parse import urlencode
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fastgate import build_app, cli, http_gateway
 from fastgate.errors import BadRequest, FastError, PayloadTooLarge
-from fastgate.http_gateway import WireRequest, _error
+from fastgate.http_gateway import LARGE_BODY, WireRequest, _error
 from fastgate.rest_machine import DEFAULT_MAX_BYTES
 from fastgate.values import canonical_json
 from fastgate.workers import WorkerPool
 
 from test_rest_machine import Op, linearizable
-from test_workers import _hand_offs
+from test_values import json_values
+from test_workers import _app, _hand_offs
 
 SOCKET_TIMEOUT_S = 5
 IDLE_TIMEOUT_S = 60.0  # read by the copied handler below
@@ -708,6 +711,12 @@ _MALFORMED = {
     "oversized-expect": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
                         b"Content-Length: 999999999\r\n\r\n",
     "chunked": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n1\r\n",
+    # Transfer_Encoding names the same HTTP_TRANSFER_ENCODING key, so both
+    # transports refuse it as they refuse Transfer-Encoding
+    "chunked-underscore": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nTransfer_Encoding: chunked\r\n\r\n"
+                          b"1\r\n1\r\n",
+    "chunked-lower-case": b"POST /rest/f HTTP/1.1\r\nHost: t\r\ntransfer-encoding: chunked\r\n\r\n"
+                          b"1\r\n1\r\n",
     "short-body": b"POST /rest/f HTTP/1.1\r\nHost: t\r\nContent-Length: 500\r\n\r\n[1]",
     "nonsense": b"NONSENSE\r\n\r\n",
     "four-words": b"GET / x HTTP/1.1\r\nHost: t\r\n\r\n",
@@ -812,6 +821,134 @@ def test_the_reader_differs_only_where_it_means_to(data, old_statuses, new_statu
     finally:
         for served in pair:
             served.close()
+
+
+# --- the boundaries add nothing: a request drawn from the worker corpus's
+# grammar gets the same reply in process, over a socket and in a worker
+
+
+@pytest.fixture(scope="module")
+def three_ways(tmp_path_factory):
+    """(in-process app, app with one worker, served app), one kept-alive
+    connection to the served app as (socket, reader), and the seed's store
+    file; each app holds the worker corpus's seed and takes bodies a little
+    over LARGE_BODY."""
+    if not hasattr(os, "fork"):
+        pytest.skip("workers need os.fork")
+    local, pooled, served = (_app(False, max_bytes=2 * LARGE_BODY) for _ in range(3))
+    pooled.gateway.workers = WorkerPool.fork(pooled.gateway, 1)  # before the server's thread
+    server = cli.GatewayServer(("127.0.0.1", 0), served.gateway)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    seed = str(tmp_path_factory.mktemp("seed") / "store.json")
+    local.store.save(seed)
+    sock = socket.create_connection(server.server_address, timeout=SOCKET_TIMEOUT_S)
+    reader = sock.makefile("rb")
+    try:
+        yield (local, pooled, served), (sock, reader), seed
+    finally:
+        reader.close()
+        sock.close()
+        server.shutdown()
+        server.server_close()
+        pooled.gateway.workers.close()
+
+
+_CONTROL = {
+    "uri": ["/rest/xs", "/rest/book", "/rest/tpl", "/rest/a%25b", "/rest/missing", "/rest/a%FF"],
+    "data": [[[1, 2], [3.5, 4]], [1, -2, 3], [[100, 1, 100, 0.2]], "{{/rest/x}}"],
+    "to_uri": ["/rest/out", "/rest/out%25put", "/rest/xs"],
+    "fns": [["price", "delta"], "price"],
+    "q": ["Map add from basic_arithmetic on xs", "Reduce add from basic_arithmetic on [1, 2]",
+          "Post Map add from basic_arithmetic on xs to /rest/s", "Filter positive from pred on xs",
+          "Map (Apply add on 2) from higher_order_arithmetic on [3, 4]", "Get book", "Map add on"],
+}
+_CALLS = ["/lambda/basic_arithmetic/add", "/lambda/pricer/price", "/lambda/pred/positive",
+          "/lambda/higher_order_arithmetic/add", "/lambda/pricer/gamma", "/fast/pricer",
+          "/fast/basic_arithmetic/add"]
+_RESOURCES = ["/rest/w/new", "/rest/xs", "/rest/a%25b"]
+_FORM = "application/x-www-form-urlencoded"
+
+
+@st.composite
+def _corpus_requests(draw, heavy=False):
+    """A request of the worker corpus's grammar: a route, a method, control
+    fields from any JSON value (or one the seed makes meaningful) sent as a
+    JSON body, a query string or a form, and a JSON body padded to about
+    LARGE_BODY bytes.  A `heavy` one is what the pooled app hands to its
+    worker: a data-parallel call, or a resource write of LARGE_BODY bytes
+    or more."""
+    path = draw(st.sampled_from(_CALLS + _RESOURCES + ([] if heavy else ["/query", "/healthz"])))
+    write = path.startswith("/rest/")
+    if heavy:
+        method = draw(st.sampled_from(("POST", "PUT") if write else ("GET", "POST")))
+    else:  # mostly a method that the route answers
+        answered = ("GET", "POST", "PUT", "DELETE") if write else ("GET", "POST")
+        method = draw(st.sampled_from(answered * 3 + ("HEAD", "PATCH")))
+    to_do = st.sampled_from(["map", "reduce", "filter"])
+    if not heavy:
+        to_do = to_do | st.sampled_from(["apply", "Map"]) | json_values
+    fields = draw(st.fixed_dictionaries({"to_do": to_do}, optional={
+        name: st.sampled_from(values) | json_values for name, values in _CONTROL.items()
+    }))
+    carriers = ["json", "value", "query", "form"]
+    if heavy:
+        carriers = ["json", "value"] if write else ["json", "query", "form"]
+    carrier = draw(st.sampled_from(carriers))
+    query, body, content_type = "", None, "application/json"
+    text = urlencode({k: v if isinstance(v, str) else json.dumps(v) for k, v in fields.items()})
+    if carrier == "query":
+        query = text
+    elif carrier == "form":
+        body, content_type = text.encode(), _FORM
+    else:
+        body = json.dumps(fields if carrier == "json" else draw(json_values)).encode()
+        sizes = [0, LARGE_BODY - 1] if not heavy else []
+        size = draw(st.sampled_from(sizes + [LARGE_BODY, LARGE_BODY + 1]))
+        body = b" " * (size - len(body)) + body  # JSON allows the leading blanks
+    return WireRequest(method, path, query, body, content_type)
+
+
+def _over_the_socket(connection, req: WireRequest) -> tuple:
+    """(status, body text, Allow) of `req` sent on the kept-alive
+    `connection`; for a HEAD, the Content-Length its reply announces in
+    place of the body it must leave out."""
+    sock, reader = connection
+    target = req.path + ("?" + req.query if req.query else "")
+    body = req.body or b""
+    head = (f"{req.method} {target} HTTP/1.1\r\nHost: t\r\nContent-Type: {req.content_type}"
+            f"\r\nContent-Length: {len(body)}\r\n\r\n")
+    sock.sendall(head.encode("ascii") + body)
+    version, status, phrase = reader.readline().decode("latin-1").rstrip("\r\n").split(" ", 2)
+    fields = dict(line.decode("latin-1").rstrip("\r\n").split(": ", 1)
+                  for line in iter(reader.readline, b"\r\n"))
+    assert (version, phrase) == ("HTTP/1.1", HTTPStatus(int(status)).phrase)
+    assert fields["Content-Type"] == "application/json" and "Connection" not in fields
+    length = int(fields["Content-Length"])
+    text = length if req.method == "HEAD" else reader.read(length).decode("utf-8")
+    return int(status), text, fields.get("Allow", "")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(requests=st.lists(_corpus_requests(), max_size=2), heavy=_corpus_requests(heavy=True),
+       at=st.integers(0, 2))
+def test_a_socket_and_a_worker_answer_as_the_gateway_does_in_process(
+    three_ways, requests, heavy, at
+):
+    apps, connection, seed = three_ways
+    for app in apps:
+        app.store.load(seed)
+    local, pooled, _ = apps
+    requests.insert(at, heavy)  # each example goes to the worker, unless refused first
+    for req in requests:
+        response = local.gateway.handle(req)
+        expected = response.status, response.text, response.allow
+        assert pooled.gateway.handle(req) == response, req
+        if req.method == "HEAD":
+            expected = expected[0], len(response.text.encode("utf-8")), expected[2]
+        assert _over_the_socket(connection, req) == expected, req
+    assert len({app.store.canonical_dump() for app in apps}) == 1
+    assert len(pooled.gateway.workers) == 1  # no request killed the worker
 
 
 # --- per-URI linearizability over the wire

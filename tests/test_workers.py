@@ -162,8 +162,8 @@ _CORPUS = {
 }
 
 
-def _app(check_purity):
-    app = build_app(Config(max_bytes=4096, check_purity=check_purity))
+def _app(check_purity, max_bytes=4096):
+    app = build_app(Config(max_bytes=max_bytes, check_purity=check_purity))
     for name, functions in _TEST_PACKAGES.items():
         app.machine.register_package(name, functions)
     for uri, value in _SEED.items():
