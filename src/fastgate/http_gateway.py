@@ -38,13 +38,17 @@ to stderr.
 
 A heavy request goes to an idle process of `workers`, a
 `workers.WorkerPool`, when it has one.  It is heavy when it is a resource
-write (a `/rest` POST or PUT) whose body holds at least LARGE_BODY bytes, or
-a data-parallel call, whatever its size: a `/lambda` or `/fast` call whose
+write (a `/rest` POST or PUT) whose body holds at least LARGE_BODY bytes; a
+data-parallel call, whatever its size: a `/lambda` or `/fast` call whose
 `to_do` is map, reduce or filter, or a `/query` that holds a Map, Reduce or
-Filter.  The handler finds that out from its own parse of the request, and
-the worker gets the request as the transport built it and runs `handle` on
-it.  Any other request, and a heavy one that finds no idle worker, runs on
-the caller's thread.
+Filter; or a request that parses a stored text of at least LARGE_BODY bytes
+to evaluate it: a `uri` or `{{/rest/...}}` read, or a query's resource
+operand.  The handler finds that out from its own parse of the request, or
+from the store's `before_parse` at the read, and the worker gets the
+request as the transport built it and runs `handle` on it.  Any other
+request, and a heavy one that finds no idle worker, runs on the caller's
+thread.  A wire GET, a child listing and a DELETE send or drop stored text
+unparsed, so they never hand off.
 """
 
 from __future__ import annotations
@@ -148,7 +152,8 @@ class Gateway:
     It sees a HEAD as the GET that answers it.
 
     `workers`, None or a `workers.WorkerPool`, runs heavy requests:
-    data-parallel calls and resource writes of at least LARGE_BODY bytes.
+    data-parallel calls, resource writes of at least LARGE_BODY bytes and
+    requests that parse a stored text of at least LARGE_BODY bytes.
     """
 
     def __init__(
@@ -167,6 +172,7 @@ class Gateway:
         self.max_bytes = max_bytes
         self.allow = allow
         self.workers = None
+        store.before_parse = lambda text: self._hand_off(len(text) >= LARGE_BODY)
 
     # --- entry points
 
@@ -312,10 +318,15 @@ class Gateway:
 
     def _hand_off(self, heavy: bool) -> None:
         """Raise _HandOff with an idle worker for a heavy request (a
-        data-parallel call, or a resource write of at least LARGE_BODY
-        bytes), if there is one; else return, and the request runs on this
-        thread.  A worker's gateway has no workers, so there it always
-        returns."""
+        data-parallel call, a resource write of at least LARGE_BODY bytes,
+        or a read of a stored text that long to parse), if there is one;
+        else return, and the request runs on this thread.  A worker's
+        gateway has no workers, so there it always returns.
+
+        A read may hand off midway through a request, and dropping what
+        ran here is exact: a request reads the store before its one write
+        (`to_uri`, or a query's top-level Post ... to), and the calls made
+        before its read are pure, so they leave no trace."""
         if heavy and self.workers is not None:
             worker = self.workers.idle()
             if worker is not None:

@@ -105,10 +105,15 @@ class ResourceStore:
         self.max_bytes = max_bytes
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        # sees each stored text that a template, query or `uri` read is
+        # about to parse; a gateway sets it to hand a long one to a worker
+        self.before_parse = lambda text: None
 
     def get_resource(self, uri: str) -> Value:
         """Return a fresh copy of the stored value, or raise NotFound."""
-        return json.loads(self.get_text(uri))  # validated when it was posted
+        text = self.get_text(uri)
+        self.before_parse(text)
+        return json.loads(text)  # validated when it was posted
 
     def get_text(self, uri: str) -> str:
         """Return the stored canonical JSON text, or raise NotFound."""

@@ -124,6 +124,7 @@ class TemplateResolver:
         "{{", from one read, so a concurrent write cannot pair one value
         with another's answer."""
         text = self.store.get_text(key)
+        self.store.before_parse(text)
         return json.loads(text), _OPEN in text
 
     def _walk(self, value: Value, depth: int) -> Value:

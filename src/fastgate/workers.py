@@ -1,11 +1,13 @@
 """Worker processes for heavy requests: the data-parallel calls (map, reduce
-and filter) and the resource writes whose body holds at least
-`http_gateway.LARGE_BODY` bytes.
+and filter), the resource writes whose body holds at least
+`http_gateway.LARGE_BODY` bytes, and the calls that parse a stored text of
+at least that many bytes (a `uri` or `{{/rest/...}}` read, or a query's
+resource operand).
 
 Their time goes to pure-Python function bodies, the parse and validation of
-the data and the canonical encoding of the result or the stored value, and
-the interpreter lock runs one thread's Python at a time, so threads give
-them no second CPU.  `WorkerPool.fork`
+the data or the stored text and the canonical encoding of the result or the
+stored value, and the interpreter lock runs one thread's Python at a time,
+so threads give them no second CPU.  `WorkerPool.fork`
 forks processes that each keep the forked gateway and run its unchanged
 `handle` on whole requests that the server's gateway hands them (see
 `http_gateway`).  The server keeps the transport and the store: a

@@ -831,11 +831,13 @@ def test_the_reader_differs_only_where_it_means_to(data, old_statuses, new_statu
 def three_ways(tmp_path_factory):
     """(in-process app, app with one worker, served app), one kept-alive
     connection to the served app as (socket, reader), and the seed's store
-    file; each app holds the worker corpus's seed and takes bodies a little
-    over LARGE_BODY."""
+    file; each app holds the worker corpus's seed, and a book of LARGE_BODY
+    bytes or more at _BIG, and takes bodies a little over LARGE_BODY."""
     if not hasattr(os, "fork"):
         pytest.skip("workers need os.fork")
     local, pooled, served = (_app(False, max_bytes=2 * LARGE_BODY) for _ in range(3))
+    local.store.post_resource(_BIG, [[90 + k % 7, 0.5, 100.25, 0.2] for k in range(1000)])
+    assert len(local.store.get_text(_BIG)) >= LARGE_BODY
     pooled.gateway.workers = WorkerPool.fork(pooled.gateway, 1)  # before the server's thread
     server = cli.GatewayServer(("127.0.0.1", 0), served.gateway)
     threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
@@ -864,7 +866,11 @@ _CONTROL = {
 }
 _CALLS = ["/lambda/basic_arithmetic/add", "/lambda/pricer/price", "/lambda/pred/positive",
           "/lambda/higher_order_arithmetic/add", "/lambda/pricer/gamma", "/fast/pricer",
-          "/fast/basic_arithmetic/add"]
+          "/fast/basic_arithmetic/add", "/lambda/pricer/get_value"]
+_BIG = "/rest/big"  # the seed's one stored text of LARGE_BODY bytes or more
+# the two ways an apply call parses it: the fetched payload, or a free
+# argument's template (no uri or data may shadow it)
+_BIG_READS = [{"uri": _BIG}, {"stock_portfolio": "{{%s}}" % _BIG}]
 _RESOURCES = ["/rest/w/new", "/rest/xs", "/rest/a%25b"]
 _FORM = "application/x-www-form-urlencoded"
 
@@ -875,8 +881,8 @@ def _corpus_requests(draw, heavy=False):
     fields from any JSON value (or one the seed makes meaningful) sent as a
     JSON body, a query string or a form, and a JSON body padded to about
     LARGE_BODY bytes.  A `heavy` one is what the pooled app hands to its
-    worker: a data-parallel call, or a resource write of LARGE_BODY bytes
-    or more."""
+    worker: a data-parallel call, an apply call that parses the stored text
+    at _BIG, or a resource write of LARGE_BODY bytes or more."""
     path = draw(st.sampled_from(_CALLS + _RESOURCES + ([] if heavy else ["/query", "/healthz"])))
     write = path.startswith("/rest/")
     if heavy:
@@ -885,11 +891,19 @@ def _corpus_requests(draw, heavy=False):
         answered = ("GET", "POST", "PUT", "DELETE") if write else ("GET", "POST")
         method = draw(st.sampled_from(answered * 3 + ("HEAD", "PATCH")))
     to_do = st.sampled_from(["map", "reduce", "filter"])
+    reads = {}
+    if heavy and not write and draw(st.booleans()):
+        to_do = st.sampled_from(["apply", ""])
+        reads = draw(st.sampled_from(_BIG_READS))
     if not heavy:
         to_do = to_do | st.sampled_from(["apply", "Map"]) | json_values
     fields = draw(st.fixed_dictionaries({"to_do": to_do}, optional={
         name: st.sampled_from(values) | json_values for name, values in _CONTROL.items()
     }))
+    if reads:
+        fields.pop("uri", None)
+        fields.pop("data", None)
+        fields.update(reads)
     carriers = ["json", "value", "query", "form"]
     if heavy:
         carriers = ["json", "value"] if write else ["json", "query", "form"]

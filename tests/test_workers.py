@@ -3,7 +3,8 @@ process left behind.
 
 The differential corpus runs each data-parallel call through a gateway
 with a one-worker pool and through one without, and compares the bytes;
-so do the resource writes whose bodies reach LARGE_BODY bytes.
+so do the resource writes whose bodies reach LARGE_BODY bytes and the calls
+that parse a stored text of LARGE_BODY bytes.
 The lifecycle tests are Linux-only: they read worker pids from /proc.
 """
 
@@ -308,6 +309,100 @@ def test_a_large_body_that_is_not_a_resource_write_runs_in_process(pair, monkeyp
     assert len(pooled.gateway.workers) == 1
 
 
+_READ_SEED = {
+    "/rest/r/args": [1, 2],
+    "/rest/r/three": [1, 2, 3],
+    "/rest/r/row": [100, 1, 100, 0.2],
+    "/rest/r/tpl": {"a": "{{/rest/x}}", "b": 1},
+    "/rest/r/gone": 1,
+}
+
+# (request, status) of calls that parse a stored text; the tests patch
+# LARGE_BODY down to 1, so that each read of one sends the call to the worker
+_LARGE_READS = {
+    "apply-uri": (_call(_MAP_ADD, {"uri": "/rest/r/args"}), 200),
+    "template-json-body": (_call("/lambda/pricer/get_value",
+                                 {"stock_portfolio": "{{/rest/book}}"}), 200),
+    "template-query-param": (_call("/lambda/pricer/get_value", method="GET",
+                                   query={"stock_portfolio": "{{/rest/book}}"}), 200),
+    "template-in-fetched-value": (_call(_MAP_ADD, {"uri": "/rest/r/tpl"}), 200),
+    "fast-fns-uri": (_call("/fast/pricer", {"uri": "/rest/r/row", "fns": ["price", "delta"]}),
+                     200),
+    "fast-to-uri": (_call("/fast/basic_arithmetic/add",
+                          {"uri": "/rest/r/args", "to_uri": "/rest/r/sum"}), 200),
+    "query-apply": (_call("/query", {"q": "Apply add from basic_arithmetic on /rest/r/args"}),
+                    200),
+    "query-post-apply": (_call("/query", {"q": "Post Apply add from basic_arithmetic"
+                                               " on /rest/r/args to /rest/r/posted"}), 200),
+    "arity-error-after-read": (_call(_MAP_ADD, {"uri": "/rest/r/three"}), 422),
+    "domain-error-after-read": (_call(_MAP_ADD, {"uri": "/rest/xs"}), 500),
+}
+
+
+def _seed_reads(*apps):
+    for app in apps:
+        for uri, value in _READ_SEED.items():
+            app.store.post_resource(uri, value)
+
+
+def test_a_large_read_in_a_worker_answers_and_stores_as_in_process(pair, monkeypatch):
+    local, pooled = pair
+    _seed_reads(local, pooled)
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    handed = _hand_offs(pooled.gateway.workers, monkeypatch)
+    for name, (req, status) in _LARGE_READS.items():
+        reply = _reply(pooled, req)
+        assert reply == _reply(local, req), name
+        assert reply[0] == status, (name, reply)
+        assert handed[-1] is req, name
+        assert pooled.store.canonical_dump() == local.store.canonical_dump(), name
+    assert local.store.get_text("/rest/r/sum") == local.store.get_text("/rest/r/posted") == "3"
+    assert len(pooled.gateway.workers) == 1
+
+
+# requests that parse no stored text: each stays in process, whatever the
+# length of the text it names
+_READS_IN_PROCESS = {
+    "get": (_call("/rest/book", method="GET"), 200),
+    "head": (_call("/rest/book", method="HEAD"), 200),
+    "children": (_call("/rest/r", method="GET", query={"children": "true"}), 200),
+    "delete": (_call("/rest/r/gone", method="DELETE"), 200),
+    "missing-key-template": (_call(_MAP_ADD, {"a": "{{/rest/missing}}", "b": 1}), 404),
+}
+
+
+def test_a_request_that_parses_no_stored_text_runs_in_process(pair, monkeypatch):
+    local, pooled = pair
+    _seed_reads(local, pooled)
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    monkeypatch.setattr(pooled.gateway.workers, "call", _refuse_hand_off)
+    for name, (req, status) in _READS_IN_PROCESS.items():
+        reply = _reply(pooled, req)
+        assert reply == _reply(local, req), name
+        assert reply[0] == status, (name, reply)
+        assert pooled.store.canonical_dump() == local.store.canonical_dump(), name
+
+
+def test_a_stored_text_of_large_body_bytes_goes_to_a_worker_and_one_byte_less_does_not(
+    monkeypatch,
+):
+    if not hasattr(os, "fork"):
+        pytest.skip("workers need os.fork")
+    app = build_app()
+    app.machine.register_package("t", {"size": lambda text: len(text)})
+    app.gateway.workers = WorkerPool.fork(app.gateway, 1)
+    try:
+        handed = _hand_offs(app.gateway.workers, monkeypatch)
+        for size, reaches_worker in ((LARGE_BODY - 1, False), (LARGE_BODY, True)):
+            app.store.post_resource("/rest/edge", "x" * (size - 2))
+            assert len(app.store.get_text("/rest/edge")) == size
+            req = _call("/lambda/t/size", {"text": "{{/rest/edge}}"})
+            assert _reply(app, req) == (200, str(size - 2), "")
+            assert (handed[-1:] == [req]) is reaches_worker, size
+    finally:
+        app.gateway.workers.close()
+
+
 def test_a_body_of_large_body_bytes_goes_to_a_worker_and_one_byte_less_does_not(monkeypatch):
     if not hasattr(os, "fork"):
         pytest.skip("workers need os.fork")
@@ -531,4 +626,48 @@ def test_more_concurrent_calls_than_workers_all_answer():
         assert len(pool) == 1
     finally:
         pool.close()
+    assert _wait_ended([worker]) == []
+
+
+@linux_only
+def test_a_large_read_while_the_only_worker_is_busy_runs_in_process(monkeypatch):
+    started_r, started_w = os.pipe()
+    release_r, release_w = os.pipe()
+
+    def hold(x):
+        os.write(started_w, b"!")
+        os.read(release_r, 1)  # holds the worker until the large read has answered
+        return x
+
+    app, pool, worker = _serving_pool({"hold": hold})
+    local = build_app()
+    book = [[90 + k % 7, 0.5, 100.25, 0.2] for k in range(1000)]
+    thread = None
+    try:
+        for each in (app, local):
+            each.store.post_resource("/rest/big", book)
+        assert len(app.store.get_text("/rest/big")) >= LARGE_BODY
+        handed = _hand_offs(pool, monkeypatch)
+        replies = []
+        held = _call("/lambda/t/hold", {"to_do": "map", "data": [1]})
+        thread = threading.Thread(target=lambda: replies.append(_reply(app, held)))
+        thread.start()
+        assert os.read(started_r, 1) == b"!"  # the worker is inside the call
+        read = _call("/lambda/pricer/get_value", {"stock_portfolio": "{{/rest/big}}"})
+        reply = _reply(app, read)
+        assert reply == _reply(local, read)
+        assert reply[0] == 200
+        os.write(release_w, b"!")
+        thread.join(PROC_TIMEOUT_S)
+        assert not thread.is_alive()
+        assert replies == [(200, "[1]", "")]
+        assert handed == [held]
+        assert len(pool) == 1
+    finally:
+        os.write(release_w, b"!")  # a failed check must not leave the worker held
+        if thread is not None:
+            thread.join(PROC_TIMEOUT_S)
+        pool.close()
+        for fd in (started_r, started_w, release_r, release_w):
+            os.close(fd)
     assert _wait_ended([worker]) == []
