@@ -37,18 +37,9 @@ An unexpected exception answers a fixed 500 message and logs its traceback
 to stderr.
 
 A heavy request goes to an idle process of `workers`, a
-`workers.WorkerPool`, when it has one.  It is heavy when it is a resource
-write (a `/rest` POST or PUT) whose body holds at least LARGE_BODY bytes; a
-data-parallel call, whatever its size: a `/lambda` or `/fast` call whose
-`to_do` is map, reduce or filter, or a `/query` that holds a Map, Reduce or
-Filter; or a request that parses a stored text of at least LARGE_BODY bytes
-to evaluate it: a `uri` or `{{/rest/...}}` read, or a query's resource
-operand.  The handler finds that out from its own parse of the request, or
-from the store's `before_parse` at the read, and the worker gets the
-request as the transport built it and runs `handle` on it.  Any other
-request, and a heavy one that finds no idle worker, runs on the caller's
-thread.  A wire GET, a child listing and a DELETE send or drop stored text
-unparsed, so they never hand off.
+`workers.WorkerPool`, when it has one; `Gateway._hand_off` states when a
+request is heavy and why handing it off midway is exact.  The worker gets
+the request as the transport built it and runs `handle` on it.
 """
 
 from __future__ import annotations
@@ -67,20 +58,15 @@ from .errors import (
     PayloadTooLarge,
     UnserializableResult,
 )
-from .lambda_machine import COMBINATORS, FunctionHandle, FunctionRef, FunctionValue
-from .query_language import PostTo, holds_combinator, parse
+from .lambda_machine import FunctionHandle, FunctionRef, FunctionValue
+from .query_language import PostTo, parse
 from .rest_machine import DEFAULT_MAX_BYTES, decode_params, decode_uri, normalize_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
 RESERVED_PARAMS = frozenset({"data", "uri", "to_do", "to_uri", "fns", "q"})
 
-# the combinators whose calls go to a worker process; a tuple, so that a
-# `to_do` that cannot be hashed is tested without a TypeError
-DATA_PARALLEL = COMBINATORS[1:]
-
-# a resource write whose body holds at least this many bytes goes to a worker
-# process: its decode, validation and canonical encoding then hold no lock
-# that the server's other requests need
+# the size from which a body or a stored text makes a request heavy; see
+# `Gateway._hand_off`
 LARGE_BODY = 16 * 1024
 
 _ABSENT = object()
@@ -151,9 +137,8 @@ class Gateway:
     denied requests answer 404 so the route's existence is not revealed.
     It sees a HEAD as the GET that answers it.
 
-    `workers`, None or a `workers.WorkerPool`, runs heavy requests:
-    data-parallel calls, resource writes of at least LARGE_BODY bytes and
-    requests that parse a stored text of at least LARGE_BODY bytes.
+    `workers`, None or a `workers.WorkerPool`, runs heavy requests (see
+    `_hand_off`).
     """
 
     def __init__(
@@ -173,6 +158,7 @@ class Gateway:
         self.allow = allow
         self.workers = None
         store.before_parse = lambda text: self._hand_off(len(text) >= LARGE_BODY)
+        machine.before_loop = lambda: self._hand_off(True)
 
     # --- entry points
 
@@ -269,7 +255,6 @@ class Gateway:
             raise NotFound("Not found")
         params, body = self._call_arguments(req)
         to_do = self._to_do(params, body)
-        self._hand_off(to_do in DATA_PARALLEL)
         return self._run_wire(handle, to_do, self._argument_payload(params, body))
 
     def handle_fast(self, req: WireRequest) -> Value:
@@ -289,11 +274,10 @@ class Gateway:
         if to_uri is None and not fn_names:
             raise BadRequest("to_uri is required when calling a single function")
         to_do = self._to_do(params, body)
-        self._hand_off(to_do in DATA_PARALLEL)
         payload = self._argument_payload(params, body)
         if fn_names:
             result: Value = {}
-            for name in fn_names:
+            for name in dict.fromkeys(fn_names):  # pure calls: each distinct name runs once
                 handle = self.machine.lookup(FunctionRef(module, name))
                 result[name] = self._run_wire(handle, to_do, payload)
         else:
@@ -311,22 +295,28 @@ class Gateway:
         expr = parse(text)  # a 400 for a q that is not a string
         if isinstance(expr, PostTo) and req.method != "POST":
             raise MethodNotAllowed("Post queries require POST", "POST")
-        self._hand_off(holds_combinator(expr, DATA_PARALLEL))
         return self.engine.evaluate(expr)
 
     # --- request plumbing
 
     def _hand_off(self, heavy: bool) -> None:
-        """Raise _HandOff with an idle worker for a heavy request (a
-        data-parallel call, a resource write of at least LARGE_BODY bytes,
-        or a read of a stored text that long to parse), if there is one;
-        else return, and the request runs on this thread.  A worker's
-        gateway has no workers, so there it always returns.
+        """Raise _HandOff with an idle worker for a heavy request, if there
+        is one; else return, and the request runs on this thread.  A
+        worker's gateway has no workers, so there it always returns.
 
-        A read may hand off midway through a request, and dropping what
-        ran here is exact: a request reads the store before its one write
-        (`to_uri`, or a query's top-level Post ... to), and the calls made
-        before its read are pure, so they leave no trace."""
+        A request goes to a worker at one of three points, each just before
+        the work it guards: before it decodes a `/rest` write body of at
+        least LARGE_BODY bytes, before it parses a stored text of at least
+        LARGE_BODY bytes (the store's `before_parse`), and before a map,
+        reduce or filter runs over an array (the machine's `before_loop`).
+        A request refused before any of them is answered here.  A wire GET,
+        a child listing and a DELETE parse no stored text, so they never
+        hand off.
+
+        The worker runs the request again from the start, and dropping what
+        ran here is exact: it was only reads and pure calls, since every
+        write of a request comes after all of its reads and runs (`to_uri`,
+        a query's top-level Post ... to, or the `/rest` write itself)."""
         if heavy and self.workers is not None:
             worker = self.workers.idle()
             if worker is not None:

@@ -218,6 +218,9 @@ class LambdaMachine:
     def __init__(self, check_purity: bool = False):
         self.check_purity = check_purity
         self._packages: dict[str, dict[str, FunctionHandle]] = {}
+        # called as a map, reduce or filter is about to loop over an array;
+        # a gateway sets it to hand the request to a worker
+        self.before_loop = lambda: None
 
     # --- registry
 
@@ -300,6 +303,7 @@ class LambdaMachine:
             return self.bind_and_call(target, data)
         if not isinstance(data, list):
             raise NotAnArray(f"{combinator} requires an array payload")
+        self.before_loop()
         if combinator == "map":
             return self._each(target, data, "map")
         if combinator == "reduce":

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Collection, Optional, Union
+from typing import Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
@@ -285,20 +285,6 @@ def parse(text: str) -> QueryExpr:
     return _Parser(text).parse_query()
 
 
-def holds_combinator(expr: QueryExpr, combs: Collection[str]) -> bool:
-    """Whether `expr` holds a combinator named in `combs` (lower case),
-    in a function item or an operand as well."""
-    if isinstance(expr, PostTo):
-        return holds_combinator(expr.inner, combs)
-    if not isinstance(expr, CombExpr):
-        return False
-    return (
-        expr.comb in combs
-        or holds_combinator(expr.operand, combs)
-        or any(not isinstance(item, str) and holds_combinator(item, combs) for item in expr.fns)
-    )
-
-
 # --- printer
 
 
@@ -376,11 +362,14 @@ class QueryEngine:
 
     def _eval_comb(self, expr: CombExpr, module_ctx: Optional[str]):
         scope = expr.module if expr.module is not None else module_ctx
-        targets = [self._resolve_fn(item, scope) for item in expr.fns]
+        if len(expr.fns) == 1:
+            target = self._resolve_fn(expr.fns[0], scope)
+            return self.machine.run(target, expr.comb, self._eval(expr.operand, module_ctx))
+        # a batched list holds plain names (the parser sees to it), and calls
+        # are pure, so each distinct name runs once
+        names = list(dict.fromkeys(expr.fns))
+        targets = [self._resolve_fn(name, scope) for name in names]
         operand = self._eval(expr.operand, module_ctx)
-        if len(targets) == 1:
-            return self.machine.run(targets[0], expr.comb, operand)
-        names = list(expr.fns)  # parser guarantees plain names when batched
         if expr.comb == "apply":
             batch = {
                 name: self.machine.run(target, "apply", operand)

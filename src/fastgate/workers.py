@@ -1,8 +1,5 @@
-"""Worker processes for heavy requests: the data-parallel calls (map, reduce
-and filter), the resource writes whose body holds at least
-`http_gateway.LARGE_BODY` bytes, and the calls that parse a stored text of
-at least that many bytes (a `uri` or `{{/rest/...}}` read, or a query's
-resource operand).
+"""Worker processes for heavy requests, which `http_gateway.Gateway._hand_off`
+names.
 
 Their time goes to pure-Python function bodies, the parse and validation of
 the data or the stored text and the canonical encoding of the result or the

@@ -467,6 +467,39 @@ def test_fast_fns_accepts_loose_encodings(client):
         assert client.post("/fast/pricer", json={"fns": encoded, "data": trade}) == reply
 
 
+def test_a_repeated_fns_name_runs_once_and_answers_as_the_deduplicated_request(bundle):
+    calls = []
+    bundle.machine.register_package("counting", {
+        "double": lambda x: calls.append(x) or 2 * x,
+        "negate": lambda x: calls.append(x) or -x,
+    })
+    client = Client(bundle.gateway)
+    xs = [1, 2, 3]
+
+    def reply_and_calls(path, payload):
+        calls.clear()
+        reply = client.post(path, json=payload)
+        return reply, len(calls)
+
+    for repeated, once in (
+        (["double"] * 50, ["double"]),
+        (["double", "negate", "double", "negate"], ["double", "negate"]),
+        ("double,double,negate", "double,negate"),
+        ("['negate','negate']", "negate"),
+    ):
+        want = reply_and_calls("/fast/counting", {"fns": once, "to_do": "map", "data": xs})
+        assert want[0][0] == 200
+        got = reply_and_calls("/fast/counting", {"fns": repeated, "to_do": "map", "data": xs})
+        assert got == want, repeated
+    # a query's batched list keeps its shape, and runs each distinct name once
+    assert reply_and_calls("/query", {"q": "Map [double, double] from counting on [1, 2, 3]"}) == (
+        (200, [{"double": 2}, {"double": 4}, {"double": 6}]), 3)
+    assert reply_and_calls("/query", {"q": "Apply double, negate, double from counting on 5"}) == (
+        (200, {"double": 10, "negate": -5}), 2)
+    assert reply_and_calls("/query", {"q": "Map double, negate, double from counting on [1]"}) == (
+        reply_and_calls("/query", {"q": "Map double, negate from counting on [1]"}))
+
+
 def test_fast_batch_with_to_uri(client):
     trade = {"strike": 100, "time": 1, "spot": 100, "vol": 0.2}
     status, body = client.post(

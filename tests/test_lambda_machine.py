@@ -140,6 +140,46 @@ def test_combinator_error_cases(machine):
     assert "boolean" in exc.value.message
 
 
+class _HandedOff(Exception):
+    pass
+
+
+@pytest.mark.parametrize("check_purity", [False, True], ids=["unchecked", "purity"])
+def test_before_loop_sees_each_combinator_over_an_array_before_any_element(
+    machine, check_purity
+):
+    machine.check_purity = check_purity
+    calls = []
+    counted = FunctionValue(lambda a, b=0: calls.append((a, b)) or a > b, "counted")
+    seen = []
+    machine.before_loop = lambda: seen.append(len(calls))
+    assert machine.run(counted, "map", [[1], [2]]) == [True, True]
+    assert machine.run(counted, "filter", [[0]]) == []
+    assert machine.run(counted, "reduce", [[1], [2]]) is False
+    with pytest.raises(EmptyReduce):
+        machine.run(counted, "reduce", [])
+    per_element = 2 if check_purity else 1
+    assert seen == [0, 2 * per_element, 3 * per_element, 4 * per_element]
+    # apply, a to_do that names no combinator and a non-array payload never loop
+    machine.run(counted, "apply", [1])
+    for combinator, data in (("Map", [[1]]), ("bogus", [[1]]), ("map", 1), ("filter", {})):
+        with pytest.raises((InvalidValue, NotAnArray)):
+            machine.run(counted, combinator, data)
+    assert len(seen) == 4
+    # a hook that hands the request off stops it before any element runs
+    calls.clear()
+
+    def hand_off():
+        raise _HandedOff
+
+    machine.before_loop = hand_off
+    for combinator, data in (("map", [[1]]), ("filter", [[1]]), ("reduce", [[1], [2]]),
+                             ("reduce", [])):
+        with pytest.raises(_HandedOff):
+            machine.run(counted, combinator, data)
+    assert calls == []
+
+
 def test_element_errors_carry_index_and_class(machine):
     add = machine.lookup(FunctionRef("basic_arithmetic", "add"))
     with pytest.raises(DomainError) as exc:

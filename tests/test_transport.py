@@ -880,9 +880,10 @@ def _corpus_requests(draw, heavy=False):
     """A request of the worker corpus's grammar: a route, a method, control
     fields from any JSON value (or one the seed makes meaningful) sent as a
     JSON body, a query string or a form, and a JSON body padded to about
-    LARGE_BODY bytes.  A `heavy` one is what the pooled app hands to its
-    worker: a data-parallel call, an apply call that parses the stored text
-    at _BIG, or a resource write of LARGE_BODY bytes or more."""
+    LARGE_BODY bytes.  A `heavy` one reaches the pooled app's worker unless
+    it is refused first: a data-parallel call, once its map, reduce or
+    filter runs over an array, an apply call that parses the stored text at
+    _BIG, or a resource write of LARGE_BODY bytes or more."""
     path = draw(st.sampled_from(_CALLS + _RESOURCES + ([] if heavy else ["/query", "/healthz"])))
     write = path.startswith("/rest/")
     if heavy:

@@ -118,6 +118,9 @@ _CORPUS = {
         "/query", {"q": "Map (Apply add on 2) from higher_order_arithmetic on [3, 4]"}),
     "query-function-item-arity": _call(
         "/query", {"q": "Map (Apply add on 2) from higher_order_arithmetic on [[3, 4]]"}),
+    # the one filter sits in a function item, and its boolean is no function
+    "query-filter-in-function-item": _call(
+        "/query", {"q": "Apply (Filter positive from pred on [1]) on 2"}),
     "function-value-result": _call("/lambda/higher_order_arithmetic/add",
                                    {"to_do": "map", "data": [1, 2]}),
     "query-function-value-result": _call(
@@ -199,12 +202,22 @@ def test_a_worker_answers_every_request_byte_for_byte_as_in_process(pair):
     assert len(pooled.gateway.workers) == 1  # no call killed the worker
 
 
-# the corpus entries answered before the call could be handed off
+def _hand_offs(pool, monkeypatch) -> list:
+    """The requests `pool` is given from now on, in order."""
+    handed, call = [], pool.call
+    monkeypatch.setattr(pool, "call", lambda worker, req: handed.append(req) or call(worker, req))
+    return handed
+
+
+# the corpus entries answered before a map, reduce or filter could run
 _ANSWERED_IN_PROCESS = {
     "pct25-literal-in-path", "fast-to-uri-over-get", "query-post-over-get", "depth-65-query",
     "depth-body", "denied-by-allow", "InvalidValue-to_do", "BadRequest", "ParseError",
     "map-query-bad-escape",
     "NotFound", "MethodNotAllowed",
+    "AmbiguousFunction", "BadRequest-uri-list", "BadRequest-uri-number", "DepthExceeded",
+    "FunctionNotFound", "InvalidUri", "InvalidValue", "MalformedTemplate", "ModuleNotAvailable",
+    "NotAnArray", "UnserializableResult", "missing-uri", "not-utf8-in-uri",
 }
 
 
@@ -212,9 +225,7 @@ def test_the_corpus_reaches_the_worker(pair, monkeypatch):
     # a hand-off that never happened would make the differential test
     # compare the in-process path with itself
     _, pooled = pair
-    pool = pooled.gateway.workers
-    handed, call = [], pool.call
-    monkeypatch.setattr(pool, "call", lambda worker, req: handed.append(req) or call(worker, req))
+    handed = _hand_offs(pooled.gateway.workers, monkeypatch)
     in_process = set()
     for name, req in _CORPUS.items():
         before = len(handed)
@@ -237,13 +248,6 @@ def test_apply_calls_run_in_process(pair, monkeypatch):
 
 
 # --- resource writes whose body reaches LARGE_BODY bytes
-
-
-def _hand_offs(pool, monkeypatch) -> list:
-    """The requests `pool` is given from now on, in order."""
-    handed, call = [], pool.call
-    monkeypatch.setattr(pool, "call", lambda worker, req: handed.append(req) or call(worker, req))
-    return handed
 
 
 _BOOK = [[90 + k % 7, 0.5, 100.25, 0.2] for k in range(40)]
