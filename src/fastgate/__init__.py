@@ -13,7 +13,7 @@ from .errors import FastError
 from .http_gateway import Gateway, WireRequest, WireResponse
 from .lambda_machine import FunctionRef, FunctionValue, LambdaMachine
 from .query_language import QueryEngine, format_query, parse
-from .rest_machine import ResourceStore, normalize_uri
+from .rest_machine import ResourceStore
 from .template_resolver import TemplateResolver
 from .values import Value, canonical_json
 
@@ -38,7 +38,6 @@ __all__ = [
     "canonical_json",
     "format_query",
     "make_config",
-    "normalize_uri",
     "parse",
     "register_builtins",
     "__version__",

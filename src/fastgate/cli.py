@@ -232,7 +232,7 @@ def serve(config_path, **flags):
     print(f"serving on http://{config.host}:{config.port}", file=sys.stderr)
     print(f"packages: {', '.join(bundle.machine.packages())}", file=sys.stderr)
     print(
-        f"worker processes for map, reduce, filter and large resource writes: {len(workers)}",
+        f"worker processes for heavy requests: {len(workers)}",
         file=sys.stderr,
     )
     if config.store_path:

@@ -36,10 +36,11 @@ connections: it reads each request head and body once, strictly
 An unexpected exception answers a fixed 500 message and logs its traceback
 to stderr.
 
-A heavy request goes to an idle process of `workers`, a
-`workers.WorkerPool`, when it has one; `Gateway._hand_off` states when a
-request is heavy and why handing it off midway is exact.  The worker gets
-the request as the transport built it and runs `handle` on it.
+A heavy request, such as one with a body of LARGE_BODY bytes or more on any
+route, goes to an idle process of `workers`, a `workers.WorkerPool`, when it
+has one; `Gateway._hand_off` states when a request is heavy and why handing
+it off midway is exact.  The worker gets the request as the transport built
+it and runs `handle` on it.
 """
 
 from __future__ import annotations
@@ -60,13 +61,13 @@ from .errors import (
 )
 from .lambda_machine import FunctionHandle, FunctionRef, FunctionValue
 from .query_language import PostTo, parse
-from .rest_machine import DEFAULT_MAX_BYTES, decode_params, decode_uri, normalize_uri
+from .rest_machine import DEFAULT_MAX_BYTES, decode_params, decode_uri
 from .values import Value, canonical_json, loads_strict, parse_scalar
 
 RESERVED_PARAMS = frozenset({"data", "uri", "to_do", "to_uri", "fns", "q"})
 
-# the size from which a body or a stored text makes a request heavy; see
-# `Gateway._hand_off`
+# the size from which a request body, on any route, or a stored text makes
+# a request heavy; see `Gateway._hand_off`
 LARGE_BODY = 16 * 1024
 
 _ABSENT = object()
@@ -240,7 +241,6 @@ class Gateway:
             return WireResponse(200, self.store.get_text(req.path))
         if req.method == "DELETE":
             return self.store.delete_resource(req.path)
-        self._hand_off(req.body is not None and len(req.body) >= LARGE_BODY)
         body = self._json_body(req)
         if body is _ABSENT:
             raise BadRequest("a JSON body is required to store a resource")
@@ -285,7 +285,7 @@ class Gateway:
             result = self._run_wire(handle, to_do, payload)
         if to_uri is None:
             return result
-        self.store.post_resource(normalize_uri(to_uri), result)
+        self.store.post_resource(decode_uri(to_uri), result)
         return {"status": "success", "to_uri": to_uri}
 
     def handle_query(self, req: WireRequest) -> Value:
@@ -305,13 +305,13 @@ class Gateway:
         worker's gateway has no workers, so there it always returns.
 
         A request goes to a worker at one of three points, each just before
-        the work it guards: before it decodes a `/rest` write body of at
-        least LARGE_BODY bytes, before it parses a stored text of at least
-        LARGE_BODY bytes (the store's `before_parse`), and before a map,
-        reduce or filter runs over an array (the machine's `before_loop`).
-        A request refused before any of them is answered here.  A wire GET,
-        a child listing and a DELETE parse no stored text, so they never
-        hand off.
+        the work it guards: before it decodes a body of at least LARGE_BODY
+        bytes, on any route (`_json_body`), before it parses a stored text
+        of at least LARGE_BODY bytes (the store's `before_parse`), and
+        before a map, reduce or filter runs over an array (the machine's
+        `before_loop`).  A request refused before any of them is answered
+        here.  A wire GET, a child listing and a DELETE decode no body and
+        parse no stored text, so they never hand off.
 
         The worker runs the request again from the start, and dropping what
         ran here is exact: it was only reads and pure calls, since every
@@ -323,7 +323,9 @@ class Gateway:
                 raise _HandOff(worker)
 
     def _json_body(self, req: WireRequest):
-        """The parsed JSON body, _ABSENT when there is none or it is a form."""
+        """The parsed JSON body, _ABSENT when there is none or it is a form;
+        a body of LARGE_BODY bytes or more, a form's too, goes to a worker."""
+        self._hand_off(req.body is not None and len(req.body) >= LARGE_BODY)
         if not req.body or self._is_form(req):
             return _ABSENT
         return loads_strict(self._body_text(req), what="request body")
@@ -347,10 +349,10 @@ class Gateway:
         params are the query params with a form-encoded body folded in (the
         form wins); body is the decoded JSON body, _ABSENT for none or a form.
         """
-        params = decode_params(req.query)
+        params, body = decode_params(req.query), self._json_body(req)
         if req.body and self._is_form(req):
             params.update(decode_params(self._body_text(req)))
-        return params, self._json_body(req)
+        return params, body
 
     @staticmethod
     def _control(params: dict, body, name: str):

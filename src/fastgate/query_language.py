@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from .errors import DomainError, ParseError, UnserializableResult
 from .lambda_machine import COMBINATORS, FunctionRef, FunctionValue
-from .rest_machine import decode_uri, normalize_uri
+from .rest_machine import decode_uri
 from .values import DECODER, MAX_DEPTH, Value, canonical_json, validate_value
 
 _CONSTANTS = {"true": True, "false": False, "null": None}
@@ -345,7 +345,7 @@ class QueryEngine:
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ResourceRef):
-            return self.store.get_resource(normalize_uri(expr.uri))
+            return self.store.get_resource(decode_uri(expr.uri))
         if isinstance(expr, SimpleCall):
             handle = self.machine.resolve_unique(expr.function)
             return self.machine.bind_and_call(handle, dict(expr.bindings))
@@ -357,7 +357,7 @@ class QueryEngine:
                 raise UnserializableResult(
                     "cannot post a function value to a resource"
                 )
-            return self.store.post_resource(normalize_uri(expr.target), value)
+            return self.store.post_resource(decode_uri(expr.target), value)
         raise TypeError(f"not a query expression: {expr!r}")
 
     def _eval_comb(self, expr: CombExpr, module_ctx: Optional[str]):

@@ -68,13 +68,6 @@ def decode_params(text: str) -> dict[str, str]:
     return params
 
 
-def normalize_uri(path: str) -> str:
-    """Percent-decode resource URI text once (`decode_uri`) and check the key."""
-    if isinstance(path, str):
-        path = decode_uri(path)
-    return check_key(path)
-
-
 def check_key(key: str) -> str:
     """Check a decoded resource URI, the form that keys the store: under
     /rest/, with no query string, template braces or empty segments."""

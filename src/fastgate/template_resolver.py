@@ -27,7 +27,7 @@ import json
 
 from .errors import DepthExceeded, InvalidValue, MalformedTemplate, UnserializableResult
 from .lambda_machine import FunctionValue
-from .rest_machine import decode_params, decode_uri, normalize_uri
+from .rest_machine import decode_params, decode_uri
 from .values import Value, canonical_json, parse_scalar
 
 DEFAULT_DEPTH_LIMIT = 8
@@ -116,7 +116,7 @@ class TemplateResolver:
 
     def fetch(self, uri: str) -> Value:
         """The value stored at `uri`, decoded once, with its templates resolved."""
-        value, templated = self._load(normalize_uri(uri))
+        value, templated = self._load(decode_uri(uri))
         return self.resolve(value) if templated else value
 
     def _load(self, key: str) -> tuple[Value, bool]:

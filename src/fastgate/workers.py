@@ -2,8 +2,8 @@
 names.
 
 Their time goes to pure-Python function bodies, the parse and validation of
-the data or the stored text and the canonical encoding of the result or the
-stored value, and the interpreter lock runs one thread's Python at a time,
+a large request body, on any route, or of a stored text, and the canonical
+encoding of the result or the stored value, and the interpreter lock runs one thread's Python at a time,
 so threads give them no second CPU.  `WorkerPool.fork`
 forks processes that each keep the forked gateway and run its unchanged
 `handle` on whole requests that the server's gateway hands them (see

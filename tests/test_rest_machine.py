@@ -15,16 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 from fastgate import build_app, rest_machine
 from fastgate.errors import InvalidUri, InvalidValue, NotFound, PayloadTooLarge
 from fastgate.http_gateway import WireRequest
-from fastgate.rest_machine import ResourceStore, decode_params, normalize_uri
+from fastgate.rest_machine import ResourceStore, check_key, decode_params, decode_uri
 from fastgate.values import MAX_DEPTH, canonical_json
 
 from test_values import json_values
 
 
 def test_normalize_accepts_and_decodes():
-    assert normalize_uri("/rest/a/b") == "/rest/a/b"
-    assert normalize_uri("/rest/a%20b") == "/rest/a b"
-    assert normalize_uri("/rest/rest_URI") == "/rest/rest_URI"
+    assert check_key(decode_uri("/rest/a/b")) == "/rest/a/b"
+    assert check_key(decode_uri("/rest/a%20b")) == "/rest/a b"
+    assert check_key(decode_uri("/rest/rest_URI")) == "/rest/rest_URI"
 
 
 @pytest.mark.parametrize(
@@ -44,7 +44,7 @@ def test_normalize_accepts_and_decodes():
 )
 def test_normalize_rejects(bad):
     with pytest.raises(InvalidUri):
-        normalize_uri(bad)
+        check_key(bad)
 
 
 # ASCII text rich in the characters that delimit and escape params

@@ -883,7 +883,8 @@ def _corpus_requests(draw, heavy=False):
     LARGE_BODY bytes.  A `heavy` one reaches the pooled app's worker unless
     it is refused first: a data-parallel call, once its map, reduce or
     filter runs over an array, an apply call that parses the stored text at
-    _BIG, or a resource write of LARGE_BODY bytes or more."""
+    _BIG, or a call or resource write whose body holds LARGE_BODY bytes or
+    more."""
     path = draw(st.sampled_from(_CALLS + _RESOURCES + ([] if heavy else ["/query", "/healthz"])))
     write = path.startswith("/rest/")
     if heavy:

@@ -3,8 +3,8 @@ process left behind.
 
 The differential corpus runs each data-parallel call through a gateway
 with a one-worker pool and through one without, and compares the bytes;
-so do the resource writes whose bodies reach LARGE_BODY bytes and the calls
-that parse a stored text of LARGE_BODY bytes.
+so do the requests whose bodies reach LARGE_BODY bytes, on any route, and
+the calls that parse a stored text of LARGE_BODY bytes.
 The lifecycle tests are Linux-only: they read worker pids from /proc.
 """
 
@@ -288,17 +288,16 @@ def test_a_large_write_in_a_worker_answers_and_stores_as_in_process(pair, monkey
     assert len(pooled.gateway.workers) == 1
 
 
-# a large body on a request that is not a resource write stays in process:
-# only get_text and put_text of the worker's store reach the server's
+# a large body on a request that decodes no body stays in process: only
+# get_text and put_text of the worker's store reach the server's
 _LARGE_BODIES_IN_PROCESS = {
     "children": _call("/rest/w", {"data": _BOOK}, method="GET", query={"children": "true"}),
     "get": _call("/rest/w/put", {"data": _BOOK}, method="GET"),
     "delete": _call("/rest/w/put", {"data": _BOOK}, method="DELETE"),
-    "apply": _call("/lambda/basic_arithmetic/add", {"data": [1, 2], "pad": _BOOK}),
 }
 
 
-def test_a_large_body_that_is_not_a_resource_write_runs_in_process(pair, monkeypatch):
+def test_a_large_body_on_a_request_that_decodes_no_body_runs_in_process(pair, monkeypatch):
     local, pooled = pair
     monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
     for app in (local, pooled):
@@ -313,6 +312,37 @@ def test_a_large_body_that_is_not_a_resource_write_runs_in_process(pair, monkeyp
     assert len(pooled.gateway.workers) == 1
 
 
+# calls whose bodies reach LARGE_BODY bytes once it is patched down to 1
+_LARGE_CALL_BODIES = {
+    "apply-padded": _call(_MAP_ADD, {"data": [1, 2], "pad": _BOOK}),
+    "map-inline": _call(_MAP_ADD, {"to_do": "map", "data": [[1, 2], [3.5, 4]]}),
+    "form": _call(_MAP_ADD, body=b"a=1&b=2", content_type="application/x-www-form-urlencoded"),
+    "query-map": _call("/query", {"q": "Map add from basic_arithmetic on xs"}),
+}
+
+
+def _refuse_decode(*args, **kwargs):
+    raise AssertionError("the server decoded a body that it hands off")
+
+
+def test_the_server_decodes_no_body_that_it_hands_off(pair, monkeypatch):
+    local, pooled = pair
+    monkeypatch.setattr(http_gateway, "LARGE_BODY", 1)
+    expected = {name: _reply(local, req) for name, req in _LARGE_CALL_BODIES.items()}
+    # the forked worker keeps the real decoders; the server may read only
+    # the empty query string
+    monkeypatch.setattr(http_gateway, "loads_strict", _refuse_decode)
+    monkeypatch.setattr(http_gateway, "decode_params",
+                        lambda text: {} if text == "" else _refuse_decode())
+    handed = _hand_offs(pooled.gateway.workers, monkeypatch)
+    for name, req in _LARGE_CALL_BODIES.items():
+        reply = _reply(pooled, req)
+        assert reply == expected[name], name
+        assert reply[0] == 200, (name, reply)
+        assert handed[-1] is req, name
+    assert len(pooled.gateway.workers) == 1
+
+
 _READ_SEED = {
     "/rest/r/args": [1, 2],
     "/rest/r/three": [1, 2, 3],
@@ -322,24 +352,28 @@ _READ_SEED = {
 }
 
 # (request, status) of calls that parse a stored text; the tests patch
-# LARGE_BODY down to 1, so that each read of one sends the call to the worker
+# LARGE_BODY down to 1, so that each read of one sends the call to the
+# worker, and each carries its arguments in the query string, since a body
+# would send it there at its decode
 _LARGE_READS = {
-    "apply-uri": (_call(_MAP_ADD, {"uri": "/rest/r/args"}), 200),
-    "template-json-body": (_call("/lambda/pricer/get_value",
-                                 {"stock_portfolio": "{{/rest/book}}"}), 200),
+    "apply-uri": (_call(_MAP_ADD, method="GET", query={"uri": "/rest/r/args"}), 200),
+    "template-query-param-post": (_call("/lambda/pricer/get_value",
+                                        query={"stock_portfolio": "{{/rest/book}}"}), 200),
     "template-query-param": (_call("/lambda/pricer/get_value", method="GET",
                                    query={"stock_portfolio": "{{/rest/book}}"}), 200),
-    "template-in-fetched-value": (_call(_MAP_ADD, {"uri": "/rest/r/tpl"}), 200),
-    "fast-fns-uri": (_call("/fast/pricer", {"uri": "/rest/r/row", "fns": ["price", "delta"]}),
-                     200),
+    "template-in-fetched-value": (_call(_MAP_ADD, method="GET", query={"uri": "/rest/r/tpl"}),
+                                  200),
+    "fast-fns-uri": (_call("/fast/pricer", method="GET",
+                           query={"uri": "/rest/r/row", "fns": "price,delta"}), 200),
     "fast-to-uri": (_call("/fast/basic_arithmetic/add",
-                          {"uri": "/rest/r/args", "to_uri": "/rest/r/sum"}), 200),
-    "query-apply": (_call("/query", {"q": "Apply add from basic_arithmetic on /rest/r/args"}),
-                    200),
-    "query-post-apply": (_call("/query", {"q": "Post Apply add from basic_arithmetic"
-                                               " on /rest/r/args to /rest/r/posted"}), 200),
-    "arity-error-after-read": (_call(_MAP_ADD, {"uri": "/rest/r/three"}), 422),
-    "domain-error-after-read": (_call(_MAP_ADD, {"uri": "/rest/xs"}), 500),
+                          query={"uri": "/rest/r/args", "to_uri": "/rest/r/sum"}), 200),
+    "query-apply": (_call("/query", method="GET",
+                          query={"q": "Apply add from basic_arithmetic on /rest/r/args"}), 200),
+    "query-post-apply": (_call("/query", query={"q": "Post Apply add from basic_arithmetic"
+                                                     " on /rest/r/args to /rest/r/posted"}), 200),
+    "arity-error-after-read": (_call(_MAP_ADD, method="GET", query={"uri": "/rest/r/three"}),
+                               422),
+    "domain-error-after-read": (_call(_MAP_ADD, method="GET", query={"uri": "/rest/xs"}), 500),
 }
 
 
@@ -371,7 +405,8 @@ _READS_IN_PROCESS = {
     "head": (_call("/rest/book", method="HEAD"), 200),
     "children": (_call("/rest/r", method="GET", query={"children": "true"}), 200),
     "delete": (_call("/rest/r/gone", method="DELETE"), 200),
-    "missing-key-template": (_call(_MAP_ADD, {"a": "{{/rest/missing}}", "b": 1}), 404),
+    "missing-key-template": (_call(_MAP_ADD, method="GET",
+                                   query={"a": "{{/rest/missing}}", "b": "1"}), 404),
 }
 
 
@@ -415,11 +450,14 @@ def test_a_body_of_large_body_bytes_goes_to_a_worker_and_one_byte_less_does_not(
     try:
         handed = _hand_offs(app.gateway.workers, monkeypatch)
         for size, reaches_worker in ((LARGE_BODY - 1, False), (LARGE_BODY, True)):
-            body = b"[" + b" " * (size - 3) + b"1]"
-            assert len(body) == size
-            req = _call("/rest/edge", body=body)
-            assert _reply(app, req) == (200, '{"status":"success"}', "")
-            assert (handed[-1:] == [req]) is reaches_worker, size
+            for path, body, text in (
+                ("/rest/edge", b"[" + b" " * (size - 3) + b"1]", '{"status":"success"}'),
+                (_MAP_ADD, b'{"a":1,"b":2' + b" " * (size - 13) + b"}", "3"),
+            ):
+                assert len(body) == size
+                req = _call(path, body=body)
+                assert _reply(app, req) == (200, text, "")
+                assert (handed[-1:] == [req]) is reaches_worker, (path, size)
             assert app.store.get_text("/rest/edge") == "[1]"
     finally:
         app.gateway.workers.close()
